@@ -6,8 +6,9 @@ three accumulated profits.  Steps are capped at the next output sample so
 samples land exactly on the requested grid; log-odds coordinates are
 clamped to +/- f_max after every accepted step.
 
-Compiled with numba when available (same code runs uncompiled otherwise,
-just slower).
+The right-hand side evaluates the one transcription of the profit
+polynomials in :mod:`kuhn3.analytic_ev`; the stage sums are numpy row
+operations on the (7, 14) stage array.
 """
 
 from __future__ import annotations
@@ -16,146 +17,59 @@ import math
 
 import numpy as np
 
-try:
-    from numba import njit
-
-    HAVE_NUMBA = True
-except ImportError:  # pragma: no cover - numba present in normal installs
-    HAVE_NUMBA = False
-
-    def njit(*args, **kwargs):
-        if args and callable(args[0]):
-            return args[0]
-
-        def deco(fn):
-            return fn
-
-        return deco
-
+from .analytic_ev import _partials, _profits
 
 STATUS_OK = 0
 STATUS_STEP_UNDERFLOW = 1
 
 _NSTATE = 14
 
+# Dormand-Prince 5(4) tableau (Hairer, Norsett & Wanner, Solving ODEs I,
+# section II.5): stage coefficients, 5th-order weights, error weights
+_A = np.zeros((7, 7))
+_A[1, :1] = [1 / 5]
+_A[2, :2] = [3 / 40, 9 / 40]
+_A[3, :3] = [44 / 45, -56 / 15, 32 / 9]
+_A[4, :4] = [19372 / 6561, -25360 / 2187, 64448 / 6561, -212 / 729]
+_A[5, :5] = [9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176, -5103 / 18656]
+_A[6, :6] = [35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84]
+_B5 = np.array([35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784,
+                11 / 84, 0.0])
+_B4 = np.array([5179 / 57600, 0.0, 7571 / 16695, 393 / 640,
+                -92097 / 339200, 187 / 2100, 1 / 40])
+_EC = _B5 - _B4
 
-@njit(cache=True, nogil=True)
+
 def _rhs(y, pot, k, f_max, logit, out):
-    P = pot
     if logit:
-        a1 = 1.0 / (1.0 + math.exp(-min(max(y[0], -f_max), f_max)))
-        b1 = 1.0 / (1.0 + math.exp(-min(max(y[1], -f_max), f_max)))
-        c1 = 1.0 / (1.0 + math.exp(-min(max(y[2], -f_max), f_max)))
-        d1 = 1.0 / (1.0 + math.exp(-min(max(y[3], -f_max), f_max)))
-        a2 = 1.0 / (1.0 + math.exp(-min(max(y[4], -f_max), f_max)))
-        b2 = 1.0 / (1.0 + math.exp(-min(max(y[5], -f_max), f_max)))
-        c2 = 1.0 / (1.0 + math.exp(-min(max(y[6], -f_max), f_max)))
-        d2 = 1.0 / (1.0 + math.exp(-min(max(y[7], -f_max), f_max)))
-        b3 = 1.0 / (1.0 + math.exp(-min(max(y[8], -f_max), f_max)))
-        c3 = 1.0 / (1.0 + math.exp(-min(max(y[9], -f_max), f_max)))
-        d3 = 1.0 / (1.0 + math.exp(-min(max(y[10], -f_max), f_max)))
+        f = 1.0 / (1.0 + np.exp(-np.minimum(np.maximum(y[:11], -f_max),
+                                              f_max)))
+        rate = k
     else:
-        a1 = min(max(y[0], 0.0), 1.0)
-        b1 = min(max(y[1], 0.0), 1.0)
-        c1 = min(max(y[2], 0.0), 1.0)
-        d1 = min(max(y[3], 0.0), 1.0)
-        a2 = min(max(y[4], 0.0), 1.0)
-        b2 = min(max(y[5], 0.0), 1.0)
-        c2 = min(max(y[6], 0.0), 1.0)
-        d2 = min(max(y[7], 0.0), 1.0)
-        b3 = min(max(y[8], 0.0), 1.0)
-        c3 = min(max(y[9], 0.0), 1.0)
-        d3 = min(max(y[10], 0.0), 1.0)
-
-    # scaled partials 24 * dE_owner/df, in canonical frequency order
-    g0 = -2 * b2 + 2 * c2 - 2 * b3 + 2 * d3 - b2 * c3
-    g1 = 2 * P - 4 - (P + 1) * (c2 + d3)
-    g2 = b2 - 2 + (P + a2) * b3
-    g3 = (P + 1) * b2 - 2 * a2
-    g4 = 2 * d1 + 2 * c3 - 2 * b3 - c1 * b3 - b1 * c3
-    g5 = 2 * P - 4 + 2 * a1 - (P + 1) * (c3 + d1)
-    g6 = P * b1 - 2 * a1
-    g7 = (P + 1) * b3 - 2 + b1
-    g8 = 2 * P - 4 + 2 * a1 + 2 * a2 - (P + 1) * (c1 + d2)
-    g9 = (P + a1) * b2 - (2 - b1) * a2
-    g10 = (P + 1) * b1 - 2 * a1
-
-    if logit:
-        out[0] = k[0] * g0
-        out[1] = k[1] * g1
-        out[2] = k[2] * g2
-        out[3] = k[3] * g3
-        out[4] = k[4] * g4
-        out[5] = k[5] * g5
-        out[6] = k[6] * g6
-        out[7] = k[7] * g7
-        out[8] = k[8] * g8
-        out[9] = k[9] * g9
-        out[10] = k[10] * g10
-    else:
-        out[0] = k[0] * a1 * (1 - a1) * g0
-        out[1] = k[1] * b1 * (1 - b1) * g1
-        out[2] = k[2] * c1 * (1 - c1) * g2
-        out[3] = k[3] * d1 * (1 - d1) * g3
-        out[4] = k[4] * a2 * (1 - a2) * g4
-        out[5] = k[5] * b2 * (1 - b2) * g5
-        out[6] = k[6] * c2 * (1 - c2) * g6
-        out[7] = k[7] * d2 * (1 - d2) * g7
-        out[8] = k[8] * b3 * (1 - b3) * g8
-        out[9] = k[9] * c3 * (1 - c3) * g9
-        out[10] = k[10] * d3 * (1 - d3) * g10
-
-    # profit accumulation dp_i/dt = E_i (the three entries sum to zero)
-    e1 = (g0 * a1 + g1 * b1 + g2 * c1 + g3 * d1
-          + (2 - P) * b3 + (2 + c3 - P) * b2)
-    e2 = (g4 * a2 + g5 * b2 + g6 * c2 + g7 * d2
-          + (2 - P + c1) * b3 + (2 - P) * b1)
-    out[11] = e1 / 24.0
-    out[12] = e2 / 24.0
-    out[13] = -(e1 + e2) / 24.0
+        f = np.minimum(np.maximum(y[:11], 0.0), 1.0)
+        rate = k * f * (1 - f)
+    fl = f.tolist()
+    g = _partials(fl, pot)
+    np.multiply(rate, g, out=out[:11])
+    # profit accumulation dp_i/dt = E_i
+    np.divide(_profits(fl, pot, g), 24.0, out=out[11:])
 
 
-@njit(cache=True, nogil=True)
 def integrate_core(y0, pot, k, n_samples, dt_sample, rtol, atol, f_max,
                    logit, h0, h_min):
     """Integrate from t=0 sampling at i*dt_sample for i = 0..n_samples.
 
     Returns (ys, n_steps, status, t_reached): ys has one row per sample;
     on STATUS_STEP_UNDERFLOW only rows up to the last completed sample are
-    valid and t_reached reports how far the integration got.
+    valid and t_reached reports how far the integration got.  A step whose
+    error norm is not finite is rejected with the smallest step factor, so
+    it ends in STATUS_STEP_UNDERFLOW rather than looping.
     """
     ys = np.empty((n_samples + 1, _NSTATE))
     ys[0] = y0
     y = y0.copy()
-    yt = np.empty(_NSTATE)
     K = np.empty((7, _NSTATE))
-
-    A = np.zeros((7, 7))
-    A[1, 0] = 1 / 5
-    A[2, 0] = 3 / 40
-    A[2, 1] = 9 / 40
-    A[3, 0] = 44 / 45
-    A[3, 1] = -56 / 15
-    A[3, 2] = 32 / 9
-    A[4, 0] = 19372 / 6561
-    A[4, 1] = -25360 / 2187
-    A[4, 2] = 64448 / 6561
-    A[4, 3] = -212 / 729
-    A[5, 0] = 9017 / 3168
-    A[5, 1] = -355 / 33
-    A[5, 2] = 46732 / 5247
-    A[5, 3] = 49 / 176
-    A[5, 4] = -5103 / 18656
-    A[6, 0] = 35 / 384
-    A[6, 2] = 500 / 1113
-    A[6, 3] = 125 / 192
-    A[6, 4] = -2187 / 6784
-    A[6, 5] = 11 / 84
-    B5 = np.array([35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784,
-                   11 / 84, 0.0])
-    B4 = np.array([5179 / 57600, 0.0, 7571 / 16695, 393 / 640,
-                   -92097 / 339200, 187 / 2100, 1 / 40])
-    EC = B5 - B4
+    lo, hi = (-f_max, f_max) if logit else (0.0, 1.0)
 
     t = 0.0
     h = h0
@@ -169,52 +83,25 @@ def integrate_core(y0, pot, k, n_samples, dt_sample, rtol, atol, f_max,
             hit = True
         _rhs(y, pot, k, f_max, logit, K[0])
         for i in range(1, 7):
-            for j in range(_NSTATE):
-                s = 0.0
-                for m in range(i):
-                    s += A[i, m] * K[m, j]
-                yt[j] = y[j] + h * s
-            _rhs(yt, pot, k, f_max, logit, K[i])
-        errn = 0.0
-        for j in range(_NSTATE):
-            s5 = 0.0
-            se = 0.0
-            for m in range(7):
-                s5 += B5[m] * K[m, j]
-                se += EC[m] * K[m, j]
-            yt[j] = y[j] + h * s5
-            sc = atol + rtol * max(abs(y[j]), abs(yt[j]))
-            q = h * se / sc
-            errn += q * q
-        errn = math.sqrt(errn / _NSTATE)
+            _rhs(y + h * (_A[i, :i] @ K[:i]), pot, k, f_max, logit, K[i])
+        yt = y + h * (_B5 @ K)
+        sc = atol + rtol * np.maximum(np.abs(y), np.abs(yt))
+        q = h * (_EC @ K) / sc
+        errn = math.sqrt(float(q @ q) / _NSTATE)
 
         if errn <= 1.0:
             t = t_target if hit else t + h
-            for j in range(_NSTATE):
-                y[j] = yt[j]
-            if logit:
-                for j in range(11):
-                    if y[j] > f_max:
-                        y[j] = f_max
-                    elif y[j] < -f_max:
-                        y[j] = -f_max
-            else:
-                for j in range(11):
-                    if y[j] > 1.0:
-                        y[j] = 1.0
-                    elif y[j] < 0.0:
-                        y[j] = 0.0
+            y = yt
+            np.clip(y[:11], lo, hi, out=y[:11])
             n_steps += 1
             if hit:
                 ys[isamp] = y
                 isamp += 1
 
-        if errn > 0.0:
-            fac = 0.9 * errn ** (-0.2)
-            if fac > 5.0:
-                fac = 5.0
-            elif fac < 0.2:
-                fac = 0.2
+        if not math.isfinite(errn):
+            fac = 0.2
+        elif errn > 0.0:
+            fac = min(5.0, max(0.2, 0.9 * errn ** (-0.2)))
         else:
             fac = 5.0
         h *= fac

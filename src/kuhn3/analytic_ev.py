@@ -13,8 +13,12 @@ throughout the package:
   other frequency, so the Jacobian of the adjustment dynamics is available
   in closed form (:func:`gradient_cross`).
 
-Polynomials are written in the grouped form {coefficient} * own-frequency
-so each brace can be audited against the tree-walk oracle term by term.
+The polynomials are transcribed once, in :func:`_partials`: the scaled
+partial g_f = 24 * dE_owner/df of every frequency, each brace auditable
+against the tree-walk oracle term by term.  :func:`_profits` adds each
+player's own-free remainder, 24*E_i = sum of g_f * f over the f player i
+owns + r_i.  The Hessian of :func:`gradient_cross` is read off the
+transcription once, at import, by evaluating it on unit corners.
 """
 
 from __future__ import annotations
@@ -23,7 +27,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .game_model import FREQ_NAMES, ProfitVector, StrategyProfile, check_pot
+from .game_model import ProfitVector, StrategyProfile, check_pot
 
 __all__ = [
     "GradientVector",
@@ -56,39 +60,14 @@ class GradientVector(NamedTuple):
         return np.array(self)
 
 
-def expected_profit_scaled(profile: StrategyProfile, pot: float) -> tuple:
-    """The scaled profit triple (24*E1, 24*E2, 24*E3)."""
-    P = check_pot(pot)
-    a1, b1, c1, d1, a2, b2, c2, d2, b3, c3, d3 = profile.as_tuple()
+def _partials(f, P) -> tuple:
+    """Scaled partials 24 * dE_owner/df in canonical frequency order.
 
-    e1 = ((-2 * b2 + 2 * c2 - 2 * b3 + 2 * d3 - b2 * c3) * a1
-          + (2 * P - 4 - (P + 1) * (c2 + d3)) * b1
-          + (b2 - 2 + (P + a2) * b3) * c1
-          + ((P + 1) * b2 - 2 * a2) * d1
-          + (2 - P) * b3 + (2 + c3 - P) * b2)
-    e2 = ((2 * d1 + 2 * c3 - 2 * b3 - c1 * b3 - b1 * c3) * a2
-          + (2 * P - 4 + 2 * a1 - (P + 1) * (c3 + d1)) * b2
-          + (P * b1 - 2 * a1) * c2
-          + ((P + 1) * b3 - 2 + b1) * d2
-          + (2 - P + c1) * b3 + (2 - P) * b1)
-    e3 = ((2 * P - 4 + 2 * a1 + 2 * a2 - (P + 1) * (c1 + d2)) * b3
-          + ((P + a1) * b2 - (2 - b1) * a2) * c3
-          + ((P + 1) * b1 - 2 * a1) * d3
-          + (2 - P - c1) * b2 + 2 * c1 + (2 - P + c2 - d2) * b1 + 2 * d2)
-    return (e1, e2, e3)
-
-
-def expected_profit(profile: StrategyProfile, pot: float) -> ProfitVector:
-    """Expected profit per player relative to the all-check baseline."""
-    e1, e2, e3 = expected_profit_scaled(profile, pot)
-    return ProfitVector(e1 / 24.0, e2 / 24.0, e3 / 24.0)
-
-
-def gradient_scaled(profile: StrategyProfile, pot: float) -> tuple:
-    """Scaled partials (24 * dE_i/df for the owner of each f), in the
-    canonical frequency order."""
-    P = check_pot(pot)
-    a1, b1, c1, d1, a2, b2, c2, d2, b3, c3, d3 = profile.as_tuple()
+    Duck-typed: ``f`` unpacks into the eleven frequencies and ``P`` is the
+    pot, as Python floats, numpy arrays (batched evaluation) or sympy
+    symbols.
+    """
+    a1, b1, c1, d1, a2, b2, c2, d2, b3, c3, d3 = f
     return (
         -2 * b2 + 2 * c2 - 2 * b3 + 2 * d3 - b2 * c3,       # a1
         2 * P - 4 - (P + 1) * (c2 + d3),                    # b1
@@ -104,29 +83,78 @@ def gradient_scaled(profile: StrategyProfile, pot: float) -> tuple:
     )
 
 
+def _profits(f, P, g) -> tuple:
+    """Scaled profits (24*E1, 24*E2, 24*E3) from the partials ``g`` of
+    :func:`_partials`: the owned terms plus each player's remainder, which
+    is free of the player's own frequencies.  Duck-typed like
+    :func:`_partials`; e3 is assembled on its own, not as -(e1 + e2)."""
+    a1, b1, c1, d1, a2, b2, c2, d2, b3, c3, d3 = f
+    return (
+        g[0] * a1 + g[1] * b1 + g[2] * c1 + g[3] * d1
+        + (2 - P) * b3 + (2 + c3 - P) * b2,
+        g[4] * a2 + g[5] * b2 + g[6] * c2 + g[7] * d2
+        + (2 - P + c1) * b3 + (2 - P) * b1,
+        g[8] * b3 + g[9] * c3 + g[10] * d3
+        + (2 - P - c1) * b2 + 2 * c1 + (2 - P + c2 - d2) * b1 + 2 * d2,
+    )
+
+
+def expected_profit_scaled(profile: StrategyProfile, pot: float) -> tuple:
+    """The scaled profit triple (24*E1, 24*E2, 24*E3)."""
+    P = check_pot(pot)
+    f = profile.as_tuple()
+    return _profits(f, P, _partials(f, P))
+
+
+def expected_profit(profile: StrategyProfile, pot: float) -> ProfitVector:
+    """Expected profit per player relative to the all-check baseline."""
+    e1, e2, e3 = expected_profit_scaled(profile, pot)
+    return ProfitVector(e1 / 24.0, e2 / 24.0, e3 / 24.0)
+
+
+def gradient_scaled(profile: StrategyProfile, pot: float) -> tuple:
+    """Scaled partials (24 * dE_i/df for the owner of each f), in the
+    canonical frequency order."""
+    return _partials(profile.as_tuple(), check_pot(pot))
+
+
 def gradient_scaled_array(freqs: np.ndarray, pot: float) -> np.ndarray:
-    """Array-in/array-out variant of :func:`gradient_scaled` used by the
-    dynamics code (no profile construction, no pot re-validation)."""
-    P = float(pot)
-    a1, b1, c1, d1, a2, b2, c2, d2, b3, c3, d3 = freqs
-    return np.array([
-        -2 * b2 + 2 * c2 - 2 * b3 + 2 * d3 - b2 * c3,
-        2 * P - 4 - (P + 1) * (c2 + d3),
-        b2 - 2 + (P + a2) * b3,
-        (P + 1) * b2 - 2 * a2,
-        2 * d1 + 2 * c3 - 2 * b3 - c1 * b3 - b1 * c3,
-        2 * P - 4 + 2 * a1 - (P + 1) * (c3 + d1),
-        P * b1 - 2 * a1,
-        (P + 1) * b3 - 2 + b1,
-        2 * P - 4 + 2 * a1 + 2 * a2 - (P + 1) * (c1 + d2),
-        (P + a1) * b2 - (2 - b1) * a2,
-        (P + 1) * b1 - 2 * a1,
-    ])
+    """Array-in/array-out variant of :func:`gradient_scaled` (no profile
+    construction, no pot re-validation)."""
+    return np.array(_partials(freqs, float(pot)))
 
 
 def gradient(profile: StrategyProfile, pot: float) -> GradientVector:
     """Exact gradient dE_owner/df per frequency (chips per unit frequency)."""
     return GradientVector(*(g / 24.0 for g in gradient_scaled(profile, pot)))
+
+
+def _cross_coefficients() -> tuple:
+    """(L0, L1, Q0, Q1) with d g_i/d f_j = L[i, j] + sum_k Q[i, j, k] f_k
+    and L = L0 + P L1, Q = Q0 + P Q1.
+
+    Read off :func:`_partials` at the unit corners 0, e_j and e_j + e_k,
+    at P = 0 and P = 1, in one batched call.  This is exact: every partial
+    is multilinear of degree <= 2 in the other players' frequencies, with
+    small integer coefficients affine in P, so its value at 0, e_j and
+    e_j + e_k gives the constant, the linear coefficient l_j and the
+    bilinear coefficient q_jk exactly.
+    """
+    n = 11
+    j, k = np.triu_indices(n, 1)
+    eye = np.eye(n)
+    corners = np.concatenate([np.zeros((1, n)), eye, eye[j] + eye[k]])
+    pot = np.repeat([0.0, 1.0], len(corners))
+    g = np.array(_partials(np.tile(corners, (2, 1)).T, pot))
+    v = g.reshape(n, 2, -1).swapaxes(0, 1)        # (pot, partial, corner)
+    g0, gj, gjk = v[..., :1], v[..., 1:1 + n], v[..., 1 + n:]
+    L = gj - g0
+    Q = np.zeros((2, n, n, n))
+    Q[..., j, k] = Q[..., k, j] = (gjk - gj[..., j]) - (gj[..., k] - g0)
+    return L[0], L[1] - L[0], Q[0], Q[1] - Q[0]
+
+
+_L0, _L1, _Q0, _Q1 = _cross_coefficients()
 
 
 def gradient_cross(profile: StrategyProfile, pot: float) -> np.ndarray:
@@ -137,45 +165,5 @@ def gradient_cross(profile: StrategyProfile, pot: float) -> np.ndarray:
     cross-player couplings appear.
     """
     P = check_pot(pot)
-    a1, b1, c1, d1, a2, b2, c2, d2, b3, c3, d3 = profile.as_tuple()
-    idx = {n: i for i, n in enumerate(FREQ_NAMES)}
-    H = np.zeros((11, 11))
-
-    def put(row: str, col: str, val: float) -> None:
-        H[idx[row], idx[col]] = val
-
-    put("a1", "b2", -2 - c3)
-    put("a1", "c2", 2.0)
-    put("a1", "b3", -2.0)
-    put("a1", "c3", -b2)
-    put("a1", "d3", 2.0)
-    put("b1", "c2", -(P + 1))
-    put("b1", "d3", -(P + 1))
-    put("c1", "a2", b3)
-    put("c1", "b2", 1.0)
-    put("c1", "b3", P + a2)
-    put("d1", "a2", -2.0)
-    put("d1", "b2", P + 1)
-    put("a2", "b1", -c3)
-    put("a2", "c1", -b3)
-    put("a2", "d1", 2.0)
-    put("a2", "b3", -2 - c1)
-    put("a2", "c3", 2 - b1)
-    put("b2", "a1", 2.0)
-    put("b2", "d1", -(P + 1))
-    put("b2", "c3", -(P + 1))
-    put("c2", "a1", -2.0)
-    put("c2", "b1", P)
-    put("d2", "b1", 1.0)
-    put("d2", "b3", P + 1)
-    put("b3", "a1", 2.0)
-    put("b3", "a2", 2.0)
-    put("b3", "c1", -(P + 1))
-    put("b3", "d2", -(P + 1))
-    put("c3", "a1", b2)
-    put("c3", "b1", a2)
-    put("c3", "a2", b1 - 2)
-    put("c3", "b2", P + a1)
-    put("d3", "a1", -2.0)
-    put("d3", "b1", P + 1)
-    return H
+    f = np.array(profile.as_tuple())
+    return _L0 + P * _L1 + (_Q0 + P * _Q1) @ f

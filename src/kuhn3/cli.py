@@ -25,11 +25,10 @@ import json
 import math
 import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 from . import analytic_ev, catalog, dynamics, stability, verify
-from .game_model import FREQ_NAMES, MIN_POT, StrategyProfile
+from .game_model import FREQ_NAMES, StrategyProfile, check_pot
 
 EXIT_OK = 0
 EXIT_VERIFY_FAILED = 1
@@ -75,12 +74,6 @@ def _fmt(v: float) -> str:
     return repr(float(v))
 
 
-def _check_pot_arg(pot: float) -> float:
-    if not pot >= MIN_POT:
-        raise CliError(f"pot must be >= {MIN_POT:g} (got {pot:g})")
-    return float(pot)
-
-
 def _default_seed() -> int | None:
     env = os.environ.get("KUHN3_SEED")
     if env is None:
@@ -123,7 +116,7 @@ def _load_gains(path: str | None):
 # -- equilibria ---------------------------------------------------------------
 
 def cmd_equilibria(args) -> int:
-    pot = _check_pot_arg(args.pot)
+    pot = check_pot(args.pot)
     if args.format == "json":
         doc = catalog.catalog_json()
         doc["query_pot"] = pot
@@ -155,7 +148,7 @@ def cmd_equilibria(args) -> int:
 # -- verify -------------------------------------------------------------------
 
 def cmd_verify(args) -> int:
-    pot = _check_pot_arg(args.pot)
+    pot = check_pot(args.pot)
     if not args.tol > 0:
         raise CliError(f"tol must be positive (got {args.tol:g})")
     profile = _load_profile(args.profile)
@@ -190,7 +183,7 @@ def _simulate_once(cfg: RunConfig, initial: StrategyProfile, gains):
 
 
 def cmd_simulate(args) -> int:
-    pot = _check_pot_arg(args.pot)
+    pot = check_pot(args.pot)
     if not args.t_end > 0:
         raise CliError(f"t-end must be positive (got {args.t_end:g})")
     seed = args.seed if args.seed is not None else _default_seed()
@@ -279,8 +272,8 @@ def _sweep_rows_classification(pot: float, seed: int, t_end: float,
 
 
 def cmd_sweep(args) -> int:
-    lo = _check_pot_arg(args.pot_min)
-    if not args.pot_max > lo:
+    lo = check_pot(args.pot_min)
+    if not check_pot(args.pot_max) > lo:
         raise CliError("pot-max must exceed pot-min")
     if not args.step > 0:
         raise CliError("step must be positive")
@@ -298,8 +291,7 @@ def cmd_sweep(args) -> int:
                 "stability": _sweep_rows_stability}[args.what]
 
     try:
-        with ThreadPoolExecutor(max_workers=args.jobs) as pool:
-            chunks = list(pool.map(work, grid))
+        chunks = [work(pot) for pot in grid]
     except (dynamics.StepSizeUnderflow, stability.NoConvergence) as exc:
         raise CliError(f"numerical failure during sweep: {exc}",
                        EXIT_NUMERICAL)
@@ -368,7 +360,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="seed for classification sweeps (default KUHN3_SEED)")
     p.add_argument("--t-end", type=float, default=20000.0)
     p.add_argument("--dt", type=float, default=0.5)
-    p.add_argument("--jobs", type=int, default=min(8, os.cpu_count() or 1))
     p.set_defaults(fn=cmd_sweep)
     return ap
 

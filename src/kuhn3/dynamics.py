@@ -28,7 +28,7 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from . import _stepper
-from .analytic_ev import gradient_scaled_array
+from .analytic_ev import gradient_scaled
 from .game_model import FREQ_NAMES, StrategyProfile, check_pot
 
 __all__ = [
@@ -122,6 +122,18 @@ class IntegratorConfig:
     h0: float = 1e-3
     h_min: float = 1e-12
 
+    def __post_init__(self):
+        bad = [n for n, v in vars(self).items() if not math.isfinite(v)]
+        if bad:
+            raise ValueError(f"integrator settings must be finite: {bad}")
+        if self.rtol < 0 or self.atol < 0 or self.rtol == self.atol == 0:
+            raise ValueError("rtol and atol must be >= 0 and not both zero "
+                             f"(got rtol={self.rtol:g}, atol={self.atol:g})")
+        for name in ("dt_sample", "f_max", "h0", "h_min"):
+            if not getattr(self, name) > 0:
+                raise ValueError(f"{name} must be positive "
+                                 f"(got {getattr(self, name):g})")
+
 
 @dataclass(frozen=True)
 class BoundaryEvent:
@@ -202,7 +214,7 @@ def vector_field(F, pot: float, gains=None) -> np.ndarray:
     pot = check_pot(pot)
     k = gains_array(gains)
     f = logistic(np.asarray(F, dtype=float))
-    return k * gradient_scaled_array(f, pot)
+    return k * np.array(gradient_scaled(StrategyProfile(*f), pot))
 
 
 def random_initial_profile(seed: int, lo: float = 0.05,
@@ -216,8 +228,8 @@ def _run(initial: StrategyProfile, pot: float, t_end: float, gains,
          config: IntegratorConfig, logit_mode: bool,
          seed: int | None) -> Trajectory:
     pot = check_pot(pot)
-    if not t_end > 0:
-        raise ValueError(f"t_end must be positive, got {t_end!r}")
+    if not (t_end > 0 and math.isfinite(t_end)):
+        raise ValueError(f"t_end must be positive and finite, got {t_end!r}")
     cfg = config or IntegratorConfig()
     k = gains_array(gains)
     f0 = np.array(initial.as_tuple())

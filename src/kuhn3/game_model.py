@@ -25,6 +25,7 @@ polynomials of :mod:`kuhn3.analytic_ev` are checked.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from enum import IntEnum
 from typing import NamedTuple
@@ -81,8 +82,8 @@ class ProfitVector(NamedTuple):
 
 def check_pot(pot: float) -> float:
     pot = float(pot)
-    if not pot >= MIN_POT:
-        raise ValueError(f"pot must be >= {MIN_POT:g}, got {pot!r}")
+    if not (pot >= MIN_POT and math.isfinite(pot)):
+        raise ValueError(f"pot must be >= {MIN_POT:g} and finite, got {pot!r}")
     return pot
 
 

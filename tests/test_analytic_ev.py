@@ -3,6 +3,8 @@ import pytest
 
 from conftest import POT_SAMPLE
 from kuhn3.analytic_ev import (
+    _partials,
+    _profits,
     expected_profit,
     expected_profit_scaled,
     gradient,
@@ -146,3 +148,41 @@ class TestGradientCross:
                 gm = np.array(gradient_scaled(prof.replace(**{nj: lo}), pot))
                 fd = (gp - gm) / (hi - lo)
                 assert np.abs(fd - H[:, j]).max() < 1e-6
+
+
+class TestTranscription:
+    """Exact checks of the one hand transcription, run on sympy symbols.
+
+    The tree-walk oracle tests above remain the independent check of the
+    polynomials themselves; these pin what is derived from them."""
+
+    @pytest.fixture
+    def symbolic(self):
+        sp = pytest.importorskip("sympy")
+        f = sp.symbols(FREQ_NAMES)
+        P = sp.Symbol("P")
+        return sp, f, P, _partials(f, P)
+
+    def test_profit_derivatives_are_the_gradient(self, symbolic, rng):
+        sp, f, P, g = symbolic
+        e = _profits(f, P, g)
+        d = [sp.diff(e[FREQ_OWNER[n] - 1], f[j])
+             for j, n in enumerate(FREQ_NAMES)]
+        for j in range(11):
+            assert sp.expand(d[j] - g[j]) == 0, FREQ_NAMES[j]
+        d_num = sp.lambdify((f, P), d)
+        for _ in range(20):
+            prof = random_profile(rng)
+            pot = float(rng.uniform(2, 8))
+            want = np.array(gradient_scaled(prof, pot))
+            assert np.abs(np.array(d_num(prof.as_tuple(), pot))
+                          - want).max() < 1e-12
+
+    def test_jacobian_of_gradient_is_gradient_cross(self, symbolic, rng):
+        sp, f, P, g = symbolic
+        H_num = sp.lambdify((f, P), sp.Matrix(g).jacobian(f))
+        for _ in range(20):
+            prof = random_profile(rng)
+            pot = float(rng.uniform(2, 8))
+            H = np.array(H_num(prof.as_tuple(), pot), dtype=float)
+            assert np.abs(H - gradient_cross(prof, pot)).max() < 1e-12

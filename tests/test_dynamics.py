@@ -1,4 +1,6 @@
 import json
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -159,6 +161,38 @@ class TestIntegrate:
         a = integrate(p0, 3.75, 100.0, config=base)
         b = integrate(p0, 3.75, 100.0, config=tight)
         assert np.abs(a.freqs[-1] - b.freqs[-1]).max() < 1e-6
+
+    @pytest.mark.parametrize("rtol,atol", [(0.0, 0.0), (float("nan"), 1e-11)])
+    def test_nonfinite_error_norm_ends_in_underflow(self, rtol, atol,
+                                                    subprocess_env):
+        # both tolerances make every error norm nan or inf; such steps must
+        # be rejected until the step underflows.  The child process turns a
+        # regression into a timeout instead of a hung suite.
+        code = (
+            "import sys\n"
+            "import numpy as np\n"
+            "from kuhn3 import _stepper\n"
+            "rtol, atol = map(float, sys.argv[1:])\n"
+            "ys, n, status, t = _stepper.integrate_core(\n"
+            "    np.zeros(14), 2.5, np.ones(11), 4, 0.5, rtol, atol, 40.0,\n"
+            "    True, 1e-3, 1e-12)\n"
+            "assert status == _stepper.STATUS_STEP_UNDERFLOW, status\n"
+            "assert (n, len(ys), t) == (0, 1, 0.0), (n, len(ys), t)\n"
+        )
+        proc = subprocess.run([sys.executable, "-c", code, str(rtol),
+                               str(atol)],
+                              env=subprocess_env, capture_output=True,
+                              text=True, timeout=60)
+        assert proc.returncode == 0, proc.stderr
+
+    @pytest.mark.parametrize("settings", [
+        {"rtol": float("nan")}, {"rtol": -1e-9}, {"atol": float("inf")},
+        {"rtol": 0.0, "atol": 0.0}, {"dt_sample": 0.0}, {"f_max": 0.0},
+        {"h0": -1e-3}, {"h_min": 0.0},
+    ])
+    def test_config_rejects_bad_settings(self, settings):
+        with pytest.raises(ValueError):
+            IntegratorConfig(**settings)
 
     def test_coordinate_chart_equivalence(self):
         p0 = random_initial_profile(7)
