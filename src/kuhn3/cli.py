@@ -25,7 +25,6 @@ import json
 import math
 import os
 import sys
-from dataclasses import dataclass
 
 from . import analytic_ev, catalog, dynamics, stability, verify
 from .game_model import FREQ_NAMES, StrategyProfile, check_pot
@@ -34,6 +33,9 @@ EXIT_OK = 0
 EXIT_VERIFY_FAILED = 1
 EXIT_USAGE = 2
 EXIT_NUMERICAL = 3
+
+#: Most pot values one sweep may tabulate.
+MAX_POTS = 10**6
 
 _SWEEP_HEADERS = {
     "frequencies": "P,solution," + ",".join(
@@ -48,26 +50,6 @@ class CliError(Exception):
     def __init__(self, message: str, code: int = EXIT_USAGE):
         super().__init__(message)
         self.code = code
-
-
-@dataclass(frozen=True)
-class RunConfig:
-    """Everything that determines a simulation's output bytes."""
-
-    pot: float
-    seed: int | None
-    t_end: float
-    rtol: float
-    atol: float
-    f_max: float
-    dt_sample: float
-    out: str
-    fmt: str
-
-    def integrator(self) -> dynamics.IntegratorConfig:
-        return dynamics.IntegratorConfig(rtol=self.rtol, atol=self.atol,
-                                         f_max=self.f_max,
-                                         dt_sample=self.dt_sample)
 
 
 def _fmt(v: float) -> str:
@@ -172,16 +154,6 @@ def _nearest_solution(pot: float, rate24: tuple):
     return best
 
 
-def _simulate_once(cfg: RunConfig, initial: StrategyProfile, gains):
-    traj = dynamics.integrate(initial, cfg.pot, cfg.t_end, gains=gains,
-                              config=cfg.integrator(), seed=cfg.seed)
-    try:
-        cls = dynamics.classify(traj)
-    except dynamics.InsufficientData:
-        cls = None
-    return traj, cls
-
-
 def cmd_simulate(args) -> int:
     pot = check_pot(args.pot)
     if not args.t_end > 0:
@@ -195,13 +167,18 @@ def cmd_simulate(args) -> int:
         raise CliError("provide --init FILE or --seed N (or set KUHN3_SEED)")
     gains = _load_gains(args.gains)
     out = args.out or f"trajectory.{args.format}"
-    cfg = RunConfig(pot, seed, args.t_end, args.rtol, args.atol, args.f_max,
-                    args.dt, out, args.format)
+    cfg = dynamics.IntegratorConfig(rtol=args.rtol, atol=args.atol,
+                                    f_max=args.f_max, dt_sample=args.dt)
     try:
-        traj, cls = _simulate_once(cfg, initial, gains)
+        traj = dynamics.integrate(initial, pot, args.t_end, gains=gains,
+                                  config=cfg, seed=seed)
     except dynamics.StepSizeUnderflow as exc:
         raise CliError(f"integration failed: {exc} "
                        f"(time reached {exc.time_reached:g})", EXIT_NUMERICAL)
+    try:
+        cls = dynamics.classify(traj)
+    except dynamics.InsufficientData:
+        cls = None
     if args.format == "csv":
         traj.to_csv(out)
     else:
@@ -228,7 +205,11 @@ def cmd_simulate(args) -> int:
 # -- sweep --------------------------------------------------------------------
 
 def _pot_grid(lo: float, hi: float, step: float) -> list:
-    n = int(math.floor((hi - lo) / step + 1e-9))
+    n = (hi - lo) / step + 1e-9
+    if not n < MAX_POTS - 1:
+        raise ValueError(f"step {step:g} gives more than {MAX_POTS} pots "
+                         f"over [{lo:g}, {hi:g}]")
+    n = int(math.floor(n))
     grid = [lo + i * step for i in range(n + 1)]
     if grid[-1] < hi - 1e-9:
         grid.append(hi)

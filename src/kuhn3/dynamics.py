@@ -56,6 +56,10 @@ __all__ = [
 
 TRAJECTORY_CSV_HEADER = "t,a1,b1,c1,d1,a2,b2,c2,d2,b3,c3,d3_,p1,p2,p3"
 
+#: Most samples one trajectory may hold: 25 times the 40 001 of a t = 20 000
+#: run at dt = 0.5, about 300 MB of arrays.
+MAX_SAMPLES = 10**6
+
 
 class InvalidInitial(ValueError):
     """Initial frequencies must be strictly inside (0, 1)."""
@@ -239,7 +243,11 @@ def _run(initial: StrategyProfile, pot: float, t_end: float, gains,
         bad = [n for n, v in zip(FREQ_NAMES, f0) if not 0.0 < v < 1.0]
         raise InvalidInitial(f"initial frequencies on the boundary: {bad}")
 
-    n = max(1, int(round(t_end / cfg.dt_sample)))
+    n = t_end / cfg.dt_sample
+    if not n <= MAX_SAMPLES - 1:
+        raise ValueError(f"t_end / dt_sample = {n:.3g} sample intervals; "
+                         f"a trajectory holds at most {MAX_SAMPLES} samples")
+    n = max(1, int(round(n)))
     y0 = np.empty(14)
     y0[:11] = logit(f0, cfg.f_max) if logit_mode else f0
     y0[11:] = 0.0
@@ -287,20 +295,14 @@ def _detect_boundary_events(traj: Trajectory) -> list:
     events = []
     for j, name in enumerate(FREQ_NAMES):
         clamped = np.abs(traj.logits[:, j]) >= cfg.f_max - eps
-        i = 0
-        n = len(clamped)
-        while i < n:
-            if clamped[i]:
-                start = i
-                while i < n and clamped[i]:
-                    i += 1
-                if i - start >= min_len:
-                    side = 1 if traj.logits[start, j] > 0 else -1
-                    events.append(BoundaryEvent(
-                        name, side, float(traj.times[start]),
-                        float(traj.times[i - 1])))
-            else:
-                i += 1
+        edges = np.diff(clamped.astype(np.int8), prepend=0, append=0)
+        for start, stop in zip(np.flatnonzero(edges == 1),
+                               np.flatnonzero(edges == -1)):
+            if stop - start >= min_len:
+                side = 1 if traj.logits[start, j] > 0 else -1
+                events.append(BoundaryEvent(
+                    name, side, float(traj.times[start]),
+                    float(traj.times[stop - 1])))
     events.sort(key=lambda e: e.t_start)
     return events
 
@@ -380,22 +382,46 @@ class DynamicsClassification:
         }
 
 
+def _spectra(X: np.ndarray, max_lag: int) -> np.ndarray:
+    """Real FFT of each column of X, zero-padded to a power of two of at
+    least ``len(X) + max_lag`` samples, so no lag up to max_lag wraps."""
+    return np.fft.rfft(X, 1 << (len(X) + max_lag - 1).bit_length(), axis=0)
+
+
+def _lag_sums(fa: np.ndarray, fb: np.ndarray, lags: np.ndarray) -> np.ndarray:
+    """Lagged cross sums sum_t sum_c a[t, c] * b[t + tau, c] for each tau in
+    ``lags`` (negative lags allowed), from the :func:`_spectra` fa and fb of
+    a and b (Wiener-Khinchin: the inverse FFT of conj(fa) * fb)."""
+    return np.fft.irfft((np.conj(fa) * fb).sum(axis=1))[lags]
+
+
 def _autocorr(X: np.ndarray, max_lag: int) -> np.ndarray:
     """Per-lag Pearson autocorrelation of a multichannel signal.
 
     r[tau] correlates X[:-tau] with X[tau:], pooling covariance across
-    channels, so a jointly periodic signal reaches 1 at its period.
+    channels, so a jointly periodic signal reaches 1 at its period; means
+    are taken over each lag's window.  Exact in O(n log n): FFT cross sums
+    (:func:`_lag_sums`) plus prefix-sum window moments.
     """
-    n = X.shape[0]
-    r = np.empty(max_lag + 1)
+    n, c = X.shape
+    X = X - X.mean(axis=0)
+    f = _spectra(X, max_lag)
+    tau = np.arange(max_lag + 1)
+    w = (n - tau)[:, None]
+    S, Q = np.zeros((2, n + 1, c))  # prefix sums of X and of X * X
+    np.cumsum(X, axis=0, out=S[1:])
+    np.cumsum(X * X, axis=0, out=Q[1:])
+    sa, sb = S[n - tau], S[n] - S[tau]
+    num = _lag_sums(f, f, tau) - (sa * sb / w).sum(axis=1)
+    va = (Q[n - tau] - sa * sa / w).sum(axis=1)
+    vb = (Q[n] - Q[tau] - sb * sb / w).sum(axis=1)
+    # a window variance within the rounding error of the prefix sums is 0
+    floor = n * np.finfo(float).eps * Q[n].sum()
+    va[va <= floor] = 0.0
+    vb[vb <= floor] = 0.0
+    den = np.sqrt(va * vb)
+    r = np.divide(num, den, out=np.zeros(max_lag + 1), where=den > 0)
     r[0] = 1.0
-    for tau in range(1, max_lag + 1):
-        a = X[:n - tau]
-        b = X[tau:]
-        am = a - a.mean(axis=0)
-        bm = b - b.mean(axis=0)
-        den = math.sqrt(float((am * am).sum()) * float((bm * bm).sum()))
-        r[tau] = float((am * bm).sum()) / den if den > 0 else 0.0
     return r
 
 
@@ -501,8 +527,7 @@ def classify(traj: Trajectory,
         elif settle is not None and settle > cfg.min_transient:
             pre = traj.freqs[:max(cfg.min_tail_samples,
                                   int(np.searchsorted(traj.times, settle)))]
-            r = _autocorr(pre - pre.mean(axis=0),
-                          min(len(pre) // 2, cfg.max_lag_samples))
+            r = _autocorr(pre, min(len(pre) // 2, cfg.max_lag_samples))
             peak, _, _ = _group_peak(r, cfg)
             if peak < cfg.close_peak:
                 label = Label.CHAOTIC_TRANSIENT_TO_BOUNDARY
@@ -554,30 +579,22 @@ def _coupled_groups(tail: np.ndarray, active: list,
     n = len(tail)
     max_lag = min(n // 4, cfg.max_lag_samples)
     Z = tail[:, active] - tail[:, active].mean(axis=0)
-    Z = Z / np.maximum(Z.std(axis=0), 1e-300)
-    nfft = 1 << int(np.ceil(np.log2(2 * n)))
-    spec = np.fft.rfft(Z, nfft, axis=0)
-    adj = np.zeros((m, m), dtype=bool)
+    spec = _spectra(Z / np.maximum(Z.std(axis=0), 1e-300), max_lag)
+    lags = np.arange(-max_lag, max_lag + 1)
+    denom = n - np.abs(lags)
+    adj = np.eye(m, dtype=int)
     for a in range(m):
         for b in range(a + 1, m):
-            cc = np.fft.irfft(spec[:, a] * np.conj(spec[:, b]), nfft)
-            cc = np.concatenate([cc[-max_lag:], cc[:max_lag + 1]])
-            denom = n - np.abs(np.arange(-max_lag, max_lag + 1))
-            peak = float(np.max(np.abs(cc) / denom))
+            cc = _lag_sums(spec[:, [a]], spec[:, [b]], lags)
+            peak = np.max(np.abs(cc) / denom)
             adj[a, b] = adj[b, a] = peak >= cfg.group_corr
-    seen = [False] * m
+    # with the identity on its diagonal, adj^(m-1) is positive exactly
+    # where a path joins two coordinates; each component is one such row,
+    # listed once, in order of its smallest member
+    reach = np.linalg.matrix_power(adj, m - 1) > 0
     groups = []
-    for s in range(m):
-        if seen[s]:
-            continue
-        stack, comp = [s], []
-        seen[s] = True
-        while stack:
-            u = stack.pop()
-            comp.append(active[u])
-            for v in range(m):
-                if adj[u, v] and not seen[v]:
-                    seen[v] = True
-                    stack.append(v)
-        groups.append(sorted(comp))
+    for row in reach:
+        grp = [active[j] for j in np.flatnonzero(row)]
+        if grp not in groups:
+            groups.append(grp)
     return groups

@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -12,9 +13,11 @@ from kuhn3.catalog import (
     equilibrium_profit,
     free_parameters,
     instantiate,
+    solution,
     solutions_for_pot,
     validity_range,
 )
+from kuhn3.game_model import FREQ_NAMES
 from kuhn3.verify import best_response_check
 
 
@@ -253,3 +256,56 @@ class TestCatalogExport:
             for sample in s["samples"]:
                 prof = StrategyProfile.from_dict(sample["frequencies"])
                 assert best_response_check(prof, sample["pot"]).overall
+
+
+class TestFormulaStrings:
+    """The ``formulas`` strings of the catalog restate the ``_build_*`` and
+    ``_params_*`` code; parse each one and compare it with that code."""
+
+    #: prose that states no value to compare
+    PROSE = {("9", "c1+d2"), ("10a", "c1+d2")}
+
+    @staticmethod
+    def _pots(sid):
+        lo, hi = validity_range(sid)
+        if lo == hi:
+            return [lo]
+        if math.isinf(hi):
+            return [lo + 0.5, lo + 2.0, lo + 5.0]
+        return [lo + (hi - lo) * t for t in (0.1, 0.5, 0.9)]
+
+    def test_formulas_match_builders(self):
+        sympy = pytest.importorskip("sympy")
+        from sympy.parsing.sympy_parser import (
+            convert_xor, implicit_multiplication, parse_expr,
+            standard_transformations)
+
+        symbols = {n: sympy.Symbol(n) for n in (*FREQ_NAMES, "P")}
+        rules = standard_transformations + (implicit_multiplication,
+                                            convert_xor)
+        for sid in SOLUTION_IDS:
+            for pot in self._pots(sid):
+                # frequency names in a formula take the profile's own values
+                prof = instantiate(sid, pot).as_dict()
+                env = {symbols[n]: v for n, v in prof.items()}
+                env[symbols["P"]] = pot
+                params = {p.name: p for p in free_parameters(sid, pot)}
+
+                def value(text):
+                    expr = parse_expr(text, local_dict=symbols,
+                                      transformations=rules)
+                    return float(expr.subs(env))
+
+                for key, text in solution(sid).formulas.items():
+                    where = (sid, pot, key, text)
+                    interval = re.fullmatch(r"free in \[(.+?), (.+)\]", text)
+                    if interval:
+                        p = params[key.replace("+", "_plus_")]
+                        assert value(interval[1]) == pytest.approx(
+                            p.lo, rel=0, abs=1e-12), where
+                        assert value(interval[2]) == pytest.approx(
+                            p.hi, rel=0, abs=1e-12), where
+                    elif (sid, key) not in self.PROSE:
+                        want = sum(prof[k] for k in key.split("+"))
+                        assert value(text) == pytest.approx(
+                            want, rel=0, abs=1e-12), where

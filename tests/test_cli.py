@@ -307,8 +307,15 @@ _SIM = ("simulate", "--pot", "2.5", "--seed", "1", "--t-end", "10")
     ("equilibria", "--pot", "inf"),
     ("sweep", "--pot-min", "2", "--pot-max", "inf", "--step", "0.5",
      "--what", "profits"),
+    (*_SIM, "--dt", "1e-9"),
+    (*_SIM, "--dt", "5e-324"),
+    ("sweep", "--pot-min", "2", "--pot-max", "3", "--step", "1e-12",
+     "--what", "profits"),
+    ("sweep", "--pot-min", "2", "--pot-max", "3", "--step", "5e-324",
+     "--what", "profits"),
 ], ids=["rtol-nan", "rtol-atol-zero", "dt-zero", "f-max-zero", "pot-inf",
-        "t-end-inf", "equilibria-pot-inf", "sweep-pot-max-inf"])
+        "t-end-inf", "equilibria-pot-inf", "sweep-pot-max-inf", "dt-tiny",
+        "dt-subnormal", "sweep-step-tiny", "sweep-step-subnormal"])
 def test_bad_input_is_a_usage_error(argv, tmp_path, subprocess_env):
     # a child process, so a hang fails on the timeout and a traceback shows
     proc = subprocess.run([sys.executable, "-m", "kuhn3.cli", *argv],

@@ -379,6 +379,105 @@ class TestClassify:
         assert set(doc["flags"]) == set(FREQ_NAMES)
 
 
+class TestClassifierParts:
+    @staticmethod
+    def _autocorr_by_lag(X, max_lag):
+        # the direct definition: pooled Pearson over each lag's window
+        n = X.shape[0]
+        r = np.empty(max_lag + 1)
+        r[0] = 1.0
+        for tau in range(1, max_lag + 1):
+            am = X[:n - tau] - X[:n - tau].mean(axis=0)
+            bm = X[tau:] - X[tau:].mean(axis=0)
+            den = np.sqrt(float((am * am).sum()) * float((bm * bm).sum()))
+            r[tau] = float((am * bm).sum()) / den if den > 0 else 0.0
+        return r
+
+    @pytest.mark.parametrize("n", [64, 101, 512, 1999, 3000])
+    @pytest.mark.parametrize("channels", [(0, 1), (0, 2), (1, 3), (3,),
+                                          (4,), (0, 1, 2, 3, 4)])
+    def test_autocorr_matches_per_lag_definition(self, n, channels):
+        from kuhn3.dynamics import _autocorr
+
+        rng = np.random.default_rng(n)
+        t = np.arange(n)
+        X = np.column_stack([
+            np.sin(2 * np.pi * t / 37.3) + 0.1 * rng.normal(size=n),
+            rng.normal(size=n).cumsum(),
+            np.full(n, 0.3),                        # constant
+            (t >= n // 3).astype(float),            # step
+            0.5 + 1e-3 * rng.uniform(size=n),       # small motion, offset
+        ])[:, channels]
+        want = self._autocorr_by_lag(X, n // 2)
+        assert np.abs(_autocorr(X, n // 2) - want).max() < 1e-12
+
+    def test_autocorr_of_a_constant_signal_is_zero(self):
+        # the window means of 0.3 carry rounding; a per-lag loop read that
+        # as a perfect correlation at most lags
+        from kuhn3.dynamics import _autocorr
+
+        r = _autocorr(np.full((1000, 2), 0.3), 500)
+        assert r[0] == 1.0 and not r[1:].any()
+
+    def test_boundary_events_match_a_run_scan(self):
+        from kuhn3.dynamics import Trajectory, _detect_boundary_events
+
+        cfg = IntegratorConfig(dwell_time=5.0)
+        min_len = 10  # dwell_time / dt_sample
+        n = 400
+        rng = np.random.default_rng(7)
+        mask = np.zeros((n, 11), dtype=bool)
+        mask[:min_len, 0] = True                 # touches the start
+        mask[n - min_len + 1:, 1] = True         # touches the end, too short
+        mask[n - min_len:, 2] = True             # touches the end
+        mask[100:100 + min_len - 1, 3] = True    # one sample too short
+        mask[200:200 + min_len, 3] = True        # just long enough
+        mask[:, 4] = True                        # the whole run
+        for j in range(6, 11):                   # random runs
+            i, on = 0, bool(rng.integers(2))
+            while i < n:
+                k = int(rng.integers(1, 3 * min_len))
+                mask[i:i + k, j] = on
+                i, on = i + k, not on
+        logits = rng.uniform(-30.0, 30.0, (n, 11))
+        logits[mask] = cfg.f_max * rng.choice([-1.0, 1.0], mask.sum())
+        times = np.arange(n) * cfg.dt_sample
+        traj = Trajectory(times=times, logits=logits, freqs=logistic(logits),
+                          profits=np.zeros((n, 3)), pot=3.0,
+                          gains=np.ones(11), config=cfg)
+
+        want = []
+        for j, name in enumerate(FREQ_NAMES):
+            i = 0
+            while i < n:
+                start = i
+                while i < n and mask[i, j] == mask[start, j]:
+                    i += 1
+                if mask[start, j] and i - start >= min_len:
+                    side = 1 if logits[start, j] > 0 else -1
+                    want.append((name, side, times[start], times[i - 1]))
+        want.sort(key=lambda e: e[2])
+        got = [(e.name, e.side, e.t_start, e.t_end)
+               for e in _detect_boundary_events(traj)]
+        assert got == want
+        assert {e[0] for e in got} >= {"a1", "c1", "d1", "a2", "c2"}
+        assert "b1" not in {e[0] for e in got}
+
+    def test_coupled_groups_are_connected_components(self):
+        from kuhn3.dynamics import ClassifierConfig, _coupled_groups
+
+        rng = np.random.default_rng(3)
+        n = 2000
+        s1, s2, s3 = rng.normal(size=(3, n))
+        tail = 0.5 + 0.01 * rng.normal(size=(n, 11))
+        # 0 ~ 5 ~ 9 only through 5 (a chain), 2 ~ 7, and 3 alone
+        tail[:, 0], tail[:, 5], tail[:, 9] = s1, s1 + s2, s2
+        tail[:, 7], tail[:, 2] = s3, -s3
+        tail[:, 3] = rng.normal(size=n)
+        groups = _coupled_groups(tail, [0, 2, 3, 5, 7, 9], ClassifierConfig())
+        assert groups == [[0, 5, 9], [2, 7], [3]]
+
+
 class TestTrajectoryExport:
     def test_csv_schema_and_determinism(self, tmp_path):
         traj = integrate(random_initial_profile(1), 2.5, 50.0, seed=1)
