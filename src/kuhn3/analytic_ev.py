@@ -19,6 +19,12 @@ against the tree-walk oracle term by term.  :func:`_profits` adds each
 player's own-free remainder, 24*E_i = sum of g_f * f over the f player i
 owns + r_i.  The Hessian of :func:`gradient_cross` is read off the
 transcription once, at import, by evaluating it on unit corners.
+
+:func:`expected_profit_scaled` and :func:`gradient_cross` also take a stack:
+an (n, 11) array of frequency rows with an array of n pots.  A stack runs
+the same elementwise operations in the same order as n single calls, so
+each of its rows is bit-identical to the single call; the catalog sweeps
+use this to evaluate a block of rows in one call.
 """
 
 from __future__ import annotations
@@ -27,7 +33,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .game_model import ProfitVector, StrategyProfile, check_pot
+from .game_model import MIN_POT, ProfitVector, StrategyProfile, check_pot
 
 __all__ = [
     "GradientVector",
@@ -36,7 +42,6 @@ __all__ = [
     "gradient",
     "gradient_cross",
     "gradient_scaled",
-    "gradient_scaled_array",
 ]
 
 
@@ -99,10 +104,33 @@ def _profits(f, P, g) -> tuple:
     )
 
 
-def expected_profit_scaled(profile: StrategyProfile, pot: float) -> tuple:
-    """The scaled profit triple (24*E1, 24*E2, 24*E3)."""
-    P = check_pot(pot)
-    f = profile.as_tuple()
+def _as_rows(profile, pot) -> tuple:
+    """(F, P, stacked): frequency rows F of shape (n, 11) and pots P of
+    shape (n,), from one profile and its pot (n = 1, ``stacked`` false) or
+    from an (n, 11) array of frequency rows and n pots."""
+    if isinstance(profile, StrategyProfile):
+        return (np.array([profile.as_tuple()]), np.array([check_pot(pot)]),
+                False)
+    F = np.asarray(profile, dtype=float)
+    P = np.asarray(pot, dtype=float)
+    if F.ndim != 2 or F.shape[1] != 11 or P.shape != F.shape[:1]:
+        raise ValueError(f"expected (n, 11) frequency rows and n pots, "
+                         f"got shapes {F.shape} and {P.shape}")
+    if not (P >= MIN_POT).all() or not np.isfinite(P).all():
+        raise ValueError(f"pots must be >= {MIN_POT:g} and finite")
+    return F, P, True
+
+
+def expected_profit_scaled(profile, pot) -> tuple:
+    """The scaled profit triple (24*E1, 24*E2, 24*E3).
+
+    For (n, 11) frequency rows and n pots, a triple of (n,) arrays.
+    """
+    if isinstance(profile, StrategyProfile):
+        f, P = profile.as_tuple(), check_pot(pot)
+    else:
+        F, P, _ = _as_rows(profile, pot)
+        f = F.T
     return _profits(f, P, _partials(f, P))
 
 
@@ -118,27 +146,23 @@ def gradient_scaled(profile: StrategyProfile, pot: float) -> tuple:
     return _partials(profile.as_tuple(), check_pot(pot))
 
 
-def gradient_scaled_array(freqs: np.ndarray, pot: float) -> np.ndarray:
-    """Array-in/array-out variant of :func:`gradient_scaled` (no profile
-    construction, no pot re-validation)."""
-    return np.array(_partials(freqs, float(pot)))
-
-
 def gradient(profile: StrategyProfile, pot: float) -> GradientVector:
     """Exact gradient dE_owner/df per frequency (chips per unit frequency)."""
     return GradientVector(*(g / 24.0 for g in gradient_scaled(profile, pot)))
 
 
 def _cross_coefficients() -> tuple:
-    """(L0, L1, Q0, Q1) with d g_i/d f_j = L[i, j] + sum_k Q[i, j, k] f_k
-    and L = L0 + P L1, Q = Q0 + P Q1.
+    """(L0, L1, I, J, K, Q0, Q1) with d g_i/d f_j = L[i, j] plus, for the
+    table entry t with (I[t], J[t]) = (i, j), the bilinear term
+    Q[t] * f_K[t]; L = L0 + P L1 and Q = Q0 + P Q1.
 
     Read off :func:`_partials` at the unit corners 0, e_j and e_j + e_k,
     at P = 0 and P = 1, in one batched call.  This is exact: every partial
     is multilinear of degree <= 2 in the other players' frequencies, with
     small integer coefficients affine in P, so its value at 0, e_j and
     e_j + e_k gives the constant, the linear coefficient l_j and the
-    bilinear coefficient q_jk exactly.
+    bilinear coefficient q_jk exactly.  The table keeps the nonzero q_jk
+    only, once as (i, j, k) and once as (i, k, j); no (i, j) occurs twice.
     """
     n = 11
     j, k = np.triu_indices(n, 1)
@@ -149,21 +173,26 @@ def _cross_coefficients() -> tuple:
     v = g.reshape(n, 2, -1).swapaxes(0, 1)        # (pot, partial, corner)
     g0, gj, gjk = v[..., :1], v[..., 1:1 + n], v[..., 1 + n:]
     L = gj - g0
-    Q = np.zeros((2, n, n, n))
-    Q[..., j, k] = Q[..., k, j] = (gjk - gj[..., j]) - (gj[..., k] - g0)
-    return L[0], L[1] - L[0], Q[0], Q[1] - Q[0]
+    Q = (gjk - gj[..., j]) - (gj[..., k] - g0)   # (pot, partial, pair j < k)
+    i, p = np.nonzero(Q.any(axis=0))
+    q0, q1 = Q[0, i, p], Q[1, i, p] - Q[0, i, p]
+    return (L[0], L[1] - L[0], np.tile(i, 2), np.concatenate([j[p], k[p]]),
+            np.concatenate([k[p], j[p]]), np.tile(q0, 2), np.tile(q1, 2))
 
 
-_L0, _L1, _Q0, _Q1 = _cross_coefficients()
+_L0, _L1, _QI, _QJ, _QK, _Q0, _Q1 = _cross_coefficients()
 
 
-def gradient_cross(profile: StrategyProfile, pot: float) -> np.ndarray:
+def gradient_cross(profile, pot) -> np.ndarray:
     """11x11 matrix H with H[i, j] = d(24 * dE/df_i)/df_j.
 
     Row order and column order follow ``FREQ_NAMES``.  Entries for j owned
     by the same player as i are identically zero (joint affinity), so only
-    cross-player couplings appear.
+    cross-player couplings appear.  For (n, 11) frequency rows and n pots,
+    the (n, 11, 11) stack.
     """
-    P = check_pot(pot)
-    f = np.array(profile.as_tuple())
-    return _L0 + P * _L1 + (_Q0 + P * _Q1) @ f
+    F, P, stacked = _as_rows(profile, pot)
+    H = P[:, None, None] * _L1
+    H += _L0
+    H[:, _QI, _QJ] += (_Q0 + P[:, None] * _Q1) * F[:, _QK]
+    return H if stacked else H[0]

@@ -26,6 +26,8 @@ import math
 import os
 import sys
 
+import numpy as np
+
 from . import analytic_ev, catalog, dynamics, stability, verify
 from .game_model import FREQ_NAMES, StrategyProfile, check_pot
 
@@ -36,6 +38,10 @@ EXIT_NUMERICAL = 3
 
 #: Most pot values one sweep may tabulate.
 MAX_POTS = 10**6
+
+#: Catalog rows a frequencies/profits/stability sweep evaluates per array
+#: call; blocks keep the arrays small whatever the grid.
+SWEEP_BLOCK = 128
 
 _SWEEP_HEADERS = {
     "frequencies": "P,solution," + ",".join(
@@ -216,32 +222,48 @@ def _pot_grid(lo: float, hi: float, step: float) -> list:
     return grid
 
 
-def _sweep_rows_frequencies(pot: float) -> list:
+def _catalog_blocks(grid: list):
+    """The (pot, solution id) rows of a catalog sweep over ``grid``, in
+    order, as lists of at most ``SWEEP_BLOCK`` rows."""
+    block = []
+    for pot in grid:
+        for sid in catalog.solutions_for_pot(pot):
+            block.append((pot, sid))
+            if len(block) == SWEEP_BLOCK:
+                yield block
+                block = []
+    if block:
+        yield block
+
+
+def _block_profiles(block: list) -> tuple:
+    """Frequency rows (m, 11) and pots (m,) of a block of catalog rows."""
+    F = np.array([catalog.instantiate(sid, pot).as_tuple()
+                  for pot, sid in block])
+    return F, np.array([pot for pot, _ in block])
+
+
+def _sweep_rows_frequencies(block: list) -> list:
     rows = []
-    for sid in catalog.solutions_for_pot(pot):
+    for pot, sid in block:
         prof = catalog.instantiate(sid, pot)
         vals = ",".join(_fmt(getattr(prof, n)) for n in FREQ_NAMES)
         rows.append(f"{_fmt(pot)},{sid},{vals}")
     return rows
 
 
-def _sweep_rows_profits(pot: float) -> list:
-    rows = []
-    for sid in catalog.solutions_for_pot(pot):
-        e = analytic_ev.expected_profit_scaled(catalog.instantiate(sid, pot),
-                                               pot)
-        rows.append(f"{_fmt(pot)},{sid},{_fmt(e[0])},{_fmt(e[1])},{_fmt(e[2])}")
-    return rows
+def _sweep_rows_profits(block: list) -> list:
+    e = analytic_ev.expected_profit_scaled(*_block_profiles(block))
+    return [f"{_fmt(pot)},{sid},{_fmt(e1)},{_fmt(e2)},{_fmt(e3)}"
+            for (pot, sid), e1, e2, e3 in zip(block, *(x.tolist() for x in e))]
 
 
-def _sweep_rows_stability(pot: float) -> list:
-    rows = []
-    for sid in catalog.solutions_for_pot(pot):
-        rep = stability.classify_equilibrium(sid, pot)
-        rows.append(f"{_fmt(pot)},{sid},{rep.verdict.value},"
-                    f"{_fmt(rep.max_real_part)},{rep.oscillatory_pairs},"
-                    f"{rep.zero_modes}")
-    return rows
+def _sweep_rows_stability(block: list) -> list:
+    _, max_re, pairs, zeros = stability.spectra(*_block_profiles(block))
+    return [f"{_fmt(pot)},{sid},{stability.Verdict.of(m).value},"
+            f"{_fmt(m)},{n_pairs},{n_zeros}"
+            for (pot, sid), m, n_pairs, n_zeros
+            in zip(block, max_re.tolist(), pairs.tolist(), zeros.tolist())]
 
 
 def _sweep_rows_classification(pot: float, seed: int, t_end: float,
@@ -264,15 +286,18 @@ def cmd_sweep(args) -> int:
     out = args.out or f"sweep_{args.what}.csv"
 
     if args.what == "classification":
+        tasks = grid
+
         def work(pot):
             return _sweep_rows_classification(pot, seed, args.t_end, icfg)
     else:
+        tasks = _catalog_blocks(grid)
         work = {"frequencies": _sweep_rows_frequencies,
                 "profits": _sweep_rows_profits,
                 "stability": _sweep_rows_stability}[args.what]
 
     try:
-        chunks = [work(pot) for pot in grid]
+        chunks = [work(task) for task in tasks]
     except (dynamics.StepSizeUnderflow, stability.NoConvergence) as exc:
         raise CliError(f"numerical failure during sweep: {exc}",
                        EXIT_NUMERICAL)

@@ -11,6 +11,12 @@ Unstable families (2, 3, 6, 7, 8) show an eigenvalue with positive real
 part; the remaining families (1, 4, 5, 9, 10) have spectra on the
 imaginary axis: purely oscillatory conjugate pairs plus zero modes from
 free parameters, i.e. a centre manifold rather than asymptotic stability.
+
+:func:`jacobian`, :func:`eigenvalues` and :func:`spectra` take stacks as
+well as single matrices: the catalog sweeps evaluate a block of rows with
+one stacked Jacobian and one LAPACK call on the (n, 11, 11) stack, which
+runs the same routine per matrix, so every row is bit-identical to its
+single evaluation.  :func:`classify_equilibrium` is the one-row case.
 """
 
 from __future__ import annotations
@@ -22,7 +28,6 @@ import numpy as np
 
 from . import analytic_ev, catalog
 from .dynamics import gains_array
-from .game_model import StrategyProfile, check_pot
 
 __all__ = [
     "NoConvergence",
@@ -31,6 +36,7 @@ __all__ = [
     "classify_equilibrium",
     "eigenvalues",
     "jacobian",
+    "spectra",
 ]
 
 RE_TOL = 1e-7
@@ -45,32 +51,42 @@ class Verdict(enum.Enum):
     UNSTABLE = "Unstable"
     CENTRE_MANIFOLD_STABLE = "CentreManifoldStable"
 
+    @classmethod
+    def of(cls, max_real_part: float, re_tol: float = RE_TOL) -> "Verdict":
+        """Unstable iff some eigenvalue has real part above ``re_tol``."""
+        return (cls.UNSTABLE if max_real_part > re_tol
+                else cls.CENTRE_MANIFOLD_STABLE)
 
-def jacobian(profile: StrategyProfile, pot: float, gains=None) -> np.ndarray:
+
+_DIAG = np.arange(11)
+
+
+def jacobian(profile, pot, gains=None) -> np.ndarray:
     """11x11 Jacobian of the frequency-coordinate dynamics at ``profile``.
 
     Boundary coordinates are fine here: at f = 0 the row reduces to the
     one-sided rate k_f * g_f on the diagonal, and at f = 1 to -k_f * g_f.
+    For (n, 11) frequency rows and n pots, the (n, 11, 11) stack.
     """
-    pot = check_pot(pot)
+    F, P, stacked = analytic_ev._as_rows(profile, pot)
     k = gains_array(gains)
-    f = np.array(profile.as_tuple())
-    g = np.array(analytic_ev.gradient_scaled(profile, pot))
-    H = analytic_ev.gradient_cross(profile, pot)
-    J = (k * f * (1.0 - f))[:, None] * H
-    J[np.diag_indices(11)] += k * (1.0 - 2.0 * f) * g
-    return J
+    g = np.array(analytic_ev._partials(F.T, P)).T
+    J = analytic_ev.gradient_cross(F, P)
+    J *= (k * F * (1.0 - F))[:, :, None]
+    J[:, _DIAG, _DIAG] += k * (1.0 - 2.0 * F) * g
+    return J if stacked else J[0]
 
 
 def eigenvalues(matrix: np.ndarray) -> np.ndarray:
-    """Full complex spectrum of a real square matrix.
+    """Full complex spectrum of a real square matrix, or of each matrix
+    in an (n, m, m) stack.
 
     Backed by LAPACK's dense nonsymmetric solver (balancing, Hessenberg
     reduction, shifted QR); raises :class:`NoConvergence` if the iteration
     fails.
     """
     a = np.asarray(matrix, dtype=float)
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
+    if a.ndim not in (2, 3) or a.shape[-1] != a.shape[-2]:
         raise ValueError(f"expected a square matrix, got shape {a.shape}")
     if not np.isfinite(a).all():
         raise ValueError("matrix entries must be finite")
@@ -113,19 +129,28 @@ class StabilityReport:
         }
 
 
+def spectra(profile, pot, gains=None, re_tol: float = RE_TOL,
+            im_tol: float = IM_TOL) -> tuple:
+    """(eigenvalues, max_real_part, oscillatory_pairs, zero_modes) of the
+    Jacobian at ``profile``, eigenvalues by descending real part, counted
+    as in :class:`StabilityReport`.  For (n, 11) frequency rows and n pots,
+    one row of each per profile."""
+    lam = eigenvalues(jacobian(profile, pot, gains))
+    lam = np.take_along_axis(lam, np.argsort(-lam.real, axis=-1), axis=-1)
+    max_re = lam.real.max(axis=-1)
+    pairs = np.count_nonzero((np.abs(lam.real) <= re_tol)
+                             & (lam.imag > im_tol), axis=-1)
+    zeros = np.count_nonzero(np.abs(lam) <= re_tol, axis=-1)
+    return lam, max_re, pairs, zeros
+
+
 def classify_equilibrium(sol_id: str, pot: float, free_params=None,
                          gains=None, re_tol: float = RE_TOL,
                          im_tol: float = IM_TOL) -> StabilityReport:
     """Linear stability report for a catalog solution at ``pot``."""
     profile = catalog.instantiate(sol_id, pot, free_params)
-    lam = eigenvalues(jacobian(profile, pot, gains))
-    order = np.argsort(-lam.real)
-    lam = lam[order]
-    max_re = float(lam.real.max())
-    pairs = int(np.count_nonzero((np.abs(lam.real) <= re_tol)
-                                 & (lam.imag > im_tol)))
-    zeros = int(np.count_nonzero(np.abs(lam) <= re_tol))
-    verdict = (Verdict.UNSTABLE if max_re > re_tol
-               else Verdict.CENTRE_MANIFOLD_STABLE)
-    return StabilityReport(sol_id, float(pot), tuple(lam), max_re, pairs,
-                           zeros, verdict, re_tol, im_tol)
+    lam, max_re, pairs, zeros = spectra(profile, pot, gains, re_tol, im_tol)
+    max_re = float(max_re)
+    return StabilityReport(sol_id, float(pot), tuple(lam), max_re, int(pairs),
+                           int(zeros), Verdict.of(max_re, re_tol), re_tol,
+                           im_tol)

@@ -231,6 +231,7 @@ def _timed_run(pot, seed, t_end):
     return traj, cls, elapsed
 
 
+@pytest.mark.slow
 def test_criterion_7_dynamics_regimes():
     lines = []
 

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from conftest import POT_SAMPLE
+from conftest import POT_SAMPLE, bits, dense_gradient_cross, stacked_rows
 from kuhn3.analytic_ev import (
     _partials,
     _profits,
@@ -148,6 +148,36 @@ class TestGradientCross:
                 gm = np.array(gradient_scaled(prof.replace(**{nj: lo}), pot))
                 fd = (gp - gm) / (hi - lo)
                 assert np.abs(fd - H[:, j]).max() < 1e-6
+
+
+class TestStacks:
+    """Stacked evaluation is the single evaluation, row by row, bit for
+    bit (sign bits of zeros included)."""
+
+    def test_gradient_cross_matches_dense_form(self, rng):
+        F, P = stacked_rows(rng)
+        H = gradient_cross(F, P)
+        assert H.shape == (len(F), 11, 11)
+        for i in range(len(F)):
+            one = gradient_cross(StrategyProfile(*F[i]), P[i])
+            assert (bits(one) == bits(dense_gradient_cross(F[i], P[i]))).all()
+            assert (bits(H[i]) == bits(one)).all()
+
+    def test_profits_match_single_calls(self, rng):
+        F, P = stacked_rows(rng)
+        e = expected_profit_scaled(F, P)
+        for i in range(len(F)):
+            one = expected_profit_scaled(StrategyProfile(*F[i]), P[i])
+            assert (bits([x[i] for x in e]) == bits(one)).all()
+
+    def test_bad_stacks_rejected(self):
+        F = np.full((3, 11), 0.5)
+        for f, p in ((F, [3.0, 3.0]), (F[:, :10], [3.0] * 3),
+                     (F, [3.0, 1.0, 3.0]), (F, [3.0, np.inf, 3.0])):
+            with pytest.raises(ValueError):
+                gradient_cross(f, np.array(p))
+            with pytest.raises(ValueError):
+                expected_profit_scaled(f, np.array(p))
 
 
 class TestTranscription:

@@ -2,12 +2,16 @@ import json
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
-from kuhn3.catalog import instantiate
+from kuhn3 import cli
+from kuhn3.analytic_ev import expected_profit_scaled
+from kuhn3.catalog import critical_pots, instantiate, solutions_for_pot
 from kuhn3.cli import main
 from kuhn3.dynamics import TRAJECTORY_CSV_HEADER
-from kuhn3.game_model import StrategyProfile
+from kuhn3.game_model import FREQ_NAMES, StrategyProfile
+from kuhn3.stability import IM_TOL, RE_TOL, jacobian
 
 
 def run_cli(capsys, *argv):
@@ -267,6 +271,78 @@ class TestSweep:
         assert code == 2
 
 
+def reference_row(what: str, pot: float, sid: str) -> str:
+    """One catalog sweep row evaluated on its own: ``instantiate``,
+    ``expected_profit_scaled`` and one ``eigvals`` call per matrix."""
+    prof = instantiate(sid, pot)
+    if what == "frequencies":
+        vals = [repr(getattr(prof, n)) for n in FREQ_NAMES]
+    elif what == "profits":
+        vals = [repr(e) for e in expected_profit_scaled(prof, pot)]
+    else:
+        lam = np.linalg.eigvals(jacobian(prof, pot))
+        lam = lam[np.argsort(-lam.real)]
+        max_re = float(lam.real.max())
+        pairs = np.count_nonzero((np.abs(lam.real) <= RE_TOL)
+                                 & (lam.imag > IM_TOL))
+        zeros = np.count_nonzero(np.abs(lam) <= RE_TOL)
+        verdict = "Unstable" if max_re > RE_TOL else "CentreManifoldStable"
+        vals = [verdict, repr(max_re), str(pairs), str(zeros)]
+    return ",".join([repr(pot), sid, *vals])
+
+
+class TestBlockSweep:
+    """Catalog sweeps run block by block as arrays; their files must be
+    byte-identical to row-by-row evaluation."""
+
+    #: the point-family pots and the critical pots where families meet
+    SPECIAL = (2.0, 3.0, 3.5, 5.0, *critical_pots())
+
+    @pytest.fixture
+    def grid(self, monkeypatch):
+        plain = cli._pot_grid
+
+        def with_special(lo, hi, step):
+            return sorted({*plain(lo, hi, step), *self.SPECIAL})
+
+        monkeypatch.setattr(cli, "_pot_grid", with_special)
+        grid = with_special(2.0, 8.0, 0.01)
+        n_rows = sum(len(solutions_for_pot(p)) for p in grid)
+        assert n_rows > cli.SWEEP_BLOCK and n_rows % cli.SWEEP_BLOCK
+        return grid
+
+    @pytest.mark.parametrize("what", ["frequencies", "profits", "stability"])
+    def test_matches_row_by_row(self, capsys, tmp_path, grid, what):
+        out = tmp_path / f"{what}.csv"
+        code, _, _ = run_cli(capsys, "sweep", "--pot-min", "2", "--pot-max",
+                             "8", "--step", "0.01", "--what", what,
+                             "--out", str(out))
+        assert code == 0
+        want = [cli._SWEEP_HEADERS[what]]
+        want += [reference_row(what, pot, sid)
+                 for pot in grid for sid in solutions_for_pot(pot)]
+        assert out.read_bytes() == "".join(f"{r}\n" for r in want).encode()
+
+    def test_eigvals_failure_is_a_numerical_error(self, capsys, tmp_path,
+                                                  monkeypatch):
+        eigvals = np.linalg.eigvals
+
+        def fail_on_stacks(a):
+            if np.ndim(a) == 3:
+                raise np.linalg.LinAlgError("Eigenvalues did not converge")
+            return eigvals(a)
+
+        monkeypatch.setattr(np.linalg, "eigvals", fail_on_stacks)
+        out = tmp_path / "stab.csv"
+        code, _, err = run_cli(capsys, "sweep", "--pot-min", "3",
+                               "--pot-max", "4", "--step", "0.1",
+                               "--what", "stability", "--out", str(out))
+        assert code == 3
+        assert "numerical failure" in err
+        assert not out.exists()
+
+
+@pytest.mark.slow
 class TestRegimePattern:
     #: expected classification per pot, alternating with the coexistence
     #: structure: periodic / chaotic / close / periodic / chaotic / close

@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from kuhn3.analytic_ev import gradient_scaled, gradient_scaled_array
+from conftest import bits, dense_gradient_cross, stacked_rows
+from kuhn3.analytic_ev import _partials, gradient_scaled
 from kuhn3.catalog import instantiate
 from kuhn3.game_model import FREQ_NAMES, StrategyProfile
 from kuhn3.stability import (
@@ -14,7 +15,7 @@ from kuhn3.stability import (
 
 def rhs_f(freqs: np.ndarray, pot: float) -> np.ndarray:
     """Frequency-coordinate vector field used as finite-difference oracle."""
-    return freqs * (1.0 - freqs) * gradient_scaled_array(freqs, pot)
+    return freqs * (1.0 - freqs) * np.array(_partials(freqs, pot))
 
 
 def fd_jacobian(profile: StrategyProfile, pot: float, h: float = 1e-6):
@@ -70,6 +71,22 @@ class TestJacobian:
         mask = np.arange(11) != i
         assert np.allclose(J2[mask], J1[mask])
 
+    def test_stack_matches_dense_form_and_single_calls(self, rng):
+        F, P = stacked_rows(rng)
+        for k in (np.ones(11), rng.uniform(0.25, 4.0, 11)):
+            J = jacobian(F, P, gains=k)
+            assert J.shape == (len(F), 11, 11)
+            for i in range(len(F)):
+                prof = StrategyProfile(*F[i])
+                # the parent's form: dense cross term, gradient as a tuple
+                want = ((k * F[i] * (1.0 - F[i]))[:, None]
+                        * dense_gradient_cross(F[i], P[i]))
+                want[np.diag_indices(11)] += (
+                    k * (1.0 - 2.0 * F[i]) * gradient_scaled(prof, P[i]))
+                one = jacobian(prof, P[i], gains=k)
+                assert (bits(one) == bits(want)).all()
+                assert (bits(J[i]) == bits(one)).all()
+
 
 class TestEigenvalues:
     def test_diagonal_matrix(self):
@@ -121,6 +138,18 @@ class TestEigenvalues:
             eigenvalues(np.ones((3, 4)))
         with pytest.raises(ValueError):
             eigenvalues(np.full((2, 2), np.nan))
+        with pytest.raises(ValueError):
+            eigenvalues(np.ones((2, 3, 4)))
+        stack = np.zeros((3, 4, 4))
+        stack[1, 2, 3] = np.inf
+        with pytest.raises(ValueError):
+            eigenvalues(stack)
+
+    def test_stack_is_per_matrix(self, rng):
+        A = rng.normal(size=(40, 11, 11))
+        lam = eigenvalues(A)
+        for i in range(len(A)):
+            assert (bits(lam[i]) == bits(np.linalg.eigvals(A[i]))).all()
 
 
 class TestClassifyEquilibrium:
