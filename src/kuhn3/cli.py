@@ -21,6 +21,7 @@ variable supplies the default seed.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import os
@@ -274,6 +275,33 @@ def _sweep_rows_classification(pot: float, seed: int, t_end: float,
     return [f"{_fmt(pot)},{seed},{_fmt(t_end)},{cls.label.value}"]
 
 
+def _classification_chunks(grid: list, seed: int, t_end: float,
+                           cfg: dynamics.IntegratorConfig) -> list:
+    """The rows of a classification sweep in grid order, integrated by
+    one forked worker process per usable core.
+
+    A forked child runs this process image, patches included, so each row
+    is bit-identical to calling ``_sweep_rows_classification`` here; only
+    the row strings come back.  The first failing row cancels the rows not
+    yet started, and the failure of the first failed row in grid order is
+    raised.  The imports cost every other command time and memory, so
+    they are made here.
+    """
+    import concurrent.futures as cf
+    import multiprocessing
+
+    work = functools.partial(_sweep_rows_classification, seed=seed,
+                             t_end=t_end, cfg=cfg)
+    workers = min(len(grid), len(os.sched_getaffinity(0)))
+    with cf.ProcessPoolExecutor(
+            workers, mp_context=multiprocessing.get_context("fork")) as pool:
+        futures = [pool.submit(work, pot) for pot in grid]
+        _, pending = cf.wait(futures, return_when=cf.FIRST_EXCEPTION)
+        if pending:
+            pool.shutdown(cancel_futures=True)
+        return [f.result() for f in futures if not f.cancelled()]
+
+
 def cmd_sweep(args) -> int:
     lo = check_pot(args.pot_min)
     if not check_pot(args.pot_max) > lo:
@@ -285,19 +313,14 @@ def cmd_sweep(args) -> int:
     icfg = dynamics.IntegratorConfig(dt_sample=args.dt)
     out = args.out or f"sweep_{args.what}.csv"
 
-    if args.what == "classification":
-        tasks = grid
-
-        def work(pot):
-            return _sweep_rows_classification(pot, seed, args.t_end, icfg)
-    else:
-        tasks = _catalog_blocks(grid)
-        work = {"frequencies": _sweep_rows_frequencies,
-                "profits": _sweep_rows_profits,
-                "stability": _sweep_rows_stability}[args.what]
-
     try:
-        chunks = [work(task) for task in tasks]
+        if args.what == "classification":
+            chunks = _classification_chunks(grid, seed, args.t_end, icfg)
+        else:
+            work = {"frequencies": _sweep_rows_frequencies,
+                    "profits": _sweep_rows_profits,
+                    "stability": _sweep_rows_stability}[args.what]
+            chunks = [work(block) for block in _catalog_blocks(grid)]
     except (dynamics.StepSizeUnderflow, stability.NoConvergence) as exc:
         raise CliError(f"numerical failure during sweep: {exc}",
                        EXIT_NUMERICAL)

@@ -73,6 +73,10 @@ class StepSizeUnderflow(RuntimeError):
         super().__init__(f"step size underflow at t={time_reached:g}")
         self.time_reached = time_reached
 
+    def __reduce__(self):
+        # the default rebuilds from ``args``, the message, not the time
+        return type(self), (self.time_reached,)
+
 
 class WindowOutOfRange(ValueError):
     """Requested averaging window is not covered by the trajectory."""
@@ -163,6 +167,7 @@ class Trajectory:
     config: IntegratorConfig
     boundary_events: tuple = ()
     seed: int | None = None
+    n_steps: int | None = None  # accepted integrator steps, if integrated
 
     @property
     def n_samples(self) -> int:
@@ -191,6 +196,7 @@ class Trajectory:
             "atol": self.config.atol,
             "f_max": self.config.f_max,
             "dt_sample": self.config.dt_sample,
+            "steps_accepted": self.n_steps,
             "boundary_events": [
                 {"name": e.name, "side": e.side,
                  "t_start": e.t_start, "t_end": e.t_end}
@@ -266,7 +272,7 @@ def _run(initial: StrategyProfile, pot: float, t_end: float, gains,
         logits = logit(freqs, cfg.f_max)
     traj = Trajectory(times=times, logits=logits, freqs=freqs,
                       profits=ys[:, 11:], pot=pot, gains=k, config=cfg,
-                      seed=seed)
+                      seed=seed, n_steps=n_steps)
     events = _detect_boundary_events(traj) if logit_mode else ()
     return replace(traj, boundary_events=tuple(events))
 

@@ -1,15 +1,16 @@
 import json
+import multiprocessing
 import subprocess
 import sys
 
 import numpy as np
 import pytest
 
-from kuhn3 import cli
+from kuhn3 import _stepper, cli
 from kuhn3.analytic_ev import expected_profit_scaled
 from kuhn3.catalog import critical_pots, instantiate, solutions_for_pot
 from kuhn3.cli import main
-from kuhn3.dynamics import TRAJECTORY_CSV_HEADER
+from kuhn3.dynamics import TRAJECTORY_CSV_HEADER, IntegratorConfig
 from kuhn3.game_model import FREQ_NAMES, StrategyProfile
 from kuhn3.stability import IM_TOL, RE_TOL, jacobian
 
@@ -264,6 +265,40 @@ class TestSweep:
         assert labels["2.5"] == "Periodic"
         assert labels["3.75"] == "Periodic"
 
+    #: five classification rows: more than there are workers on a host
+    #: with fewer than five usable cores
+    POOLED = ("--pot-min", "2.2", "--pot-max", "3.0", "--step", "0.2",
+              "--what", "classification", "--seed", "1", "--t-end", "150")
+
+    def test_pooled_classification_matches_in_process_rows(self, capsys,
+                                                           tmp_path):
+        out = tmp_path / "cls.csv"
+        code, _, _ = run_cli(capsys, "sweep", *self.POOLED, "--out", str(out))
+        assert code == 0
+        assert not multiprocessing.active_children()
+        want = [cli._SWEEP_HEADERS["classification"]]
+        for pot in cli._pot_grid(2.2, 3.0, 0.2):
+            want += cli._sweep_rows_classification(pot, 1, 150.0,
+                                                   IntegratorConfig())
+        assert len(want) == 6
+        assert out.read_bytes() == "".join(f"{r}\n" for r in want).encode()
+
+    def test_underflow_in_a_worker_is_a_numerical_error(self, capsys,
+                                                        tmp_path,
+                                                        monkeypatch):
+        def underflow(y0, *args):
+            return y0[None, :], 0, _stepper.STATUS_STEP_UNDERFLOW, 12.5
+
+        monkeypatch.setattr(_stepper, "integrate_core", underflow)
+        out = tmp_path / "cls.csv"
+        code, _, err = run_cli(capsys, "sweep", *self.POOLED,
+                               "--out", str(out))
+        assert code == 3
+        assert "numerical failure during sweep" in err
+        assert "t=12.5" in err
+        assert not out.exists()
+        assert not multiprocessing.active_children()
+
     def test_bad_range_rejected(self, capsys):
         code, _, err = run_cli(capsys, "sweep", "--pot-min", "4",
                                "--pot-max", "3", "--step", "0.1",
@@ -371,6 +406,24 @@ class TestRegimePattern:
 
 
 _SIM = ("simulate", "--pot", "2.5", "--seed", "1", "--t-end", "10")
+
+
+def test_only_classification_sweeps_import_the_pool(tmp_path,
+                                                   subprocess_env):
+    code = (
+        "import sys\n"
+        "from kuhn3 import cli\n"
+        "assert cli.main(['simulate', '--pot', '2.5', '--seed', '1',\n"
+        "                 '--t-end', '10']) == 0\n"
+        "assert cli.main(['sweep', '--pot-min', '2', '--pot-max', '3',\n"
+        "                 '--step', '0.5', '--what', 'profits']) == 0\n"
+        "loaded = {'multiprocessing', 'concurrent.futures.process'}\n"
+        "assert not loaded & set(sys.modules), loaded & set(sys.modules)\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", code], cwd=tmp_path,
+                          env=subprocess_env, capture_output=True, text=True,
+                          timeout=120)
+    assert proc.returncode == 0, proc.stderr
 
 
 @pytest.mark.parametrize("argv", [

@@ -1,4 +1,5 @@
 import json
+import pickle
 import subprocess
 import sys
 
@@ -13,6 +14,7 @@ from kuhn3.dynamics import (
     IntegratorConfig,
     InvalidInitial,
     Label,
+    StepSizeUnderflow,
     TRAJECTORY_CSV_HEADER,
     WindowOutOfRange,
     average_profit_rate,
@@ -177,6 +179,30 @@ class TestIntegrate:
         traj = integrate(random_initial_profile(1), 2.5, 10.0, config=cfg)
         assert traj.n_samples == 41
         assert np.allclose(np.diff(traj.times), 0.25)
+
+    def test_counts_accepted_steps(self, monkeypatch):
+        from kuhn3 import _stepper
+
+        counts = []
+        core = _stepper.integrate_core
+
+        def counting_core(*args):
+            result = core(*args)
+            counts.append(result[1])
+            return result
+
+        monkeypatch.setattr(_stepper, "integrate_core", counting_core)
+        traj = integrate(random_initial_profile(1), 2.5, 20.0)
+        assert counts == [traj.n_steps]
+        # every sample interval ends on an accepted step
+        assert traj.n_steps >= traj.n_samples - 1
+
+    def test_step_size_underflow_pickles(self):
+        # sweep rows run in worker processes, which pickle their failures
+        exc = pickle.loads(pickle.dumps(StepSizeUnderflow(12.5)))
+        assert type(exc) is StepSizeUnderflow
+        assert exc.time_reached == 12.5
+        assert str(exc) == "step size underflow at t=12.5"
 
     def test_deterministic_repeatability(self):
         a = integrate(random_initial_profile(4), 3.35, 200.0)
@@ -503,5 +529,6 @@ class TestTrajectoryExport:
         assert doc["meta"]["pot"] == 2.5
         assert doc["meta"]["seed"] == 1
         assert doc["meta"]["rtol"] == 1e-9
+        assert doc["meta"]["steps_accepted"] == traj.n_steps > 0
         assert doc["columns"][0] == "t"
         assert len(doc["rows"]) == traj.n_samples
