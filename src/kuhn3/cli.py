@@ -297,7 +297,7 @@ def _classification_chunks(grid: list, seed: int, t_end: float,
             workers, mp_context=multiprocessing.get_context("fork")) as pool:
         futures = [pool.submit(work, pot) for pot in grid]
         _, pending = cf.wait(futures, return_when=cf.FIRST_EXCEPTION)
-        if pending:
+        if pending:  # a row failed
             pool.shutdown(cancel_futures=True)
         return [f.result() for f in futures if not f.cancelled()]
 
