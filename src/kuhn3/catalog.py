@@ -13,6 +13,13 @@ best-response check of :mod:`kuhn3.verify`; the test suite sweeps every
 family over a fine pot grid with the free parameters at both interval
 endpoints and at the midpoint.
 
+The ``_params_*`` and ``_build_*`` functions are duck-typed: the pot P
+may be a float or a 1-D array of pots.  :func:`instantiate` calls them
+with one float; :func:`profile_rows` calls them once with an array and
+yields the same rows bit for bit, because numpy and Python round
++ - * / and square roots alike, and the few integer powers go through
+Python's ``**`` pot by pot.
+
 Three pot ranges admit three coexisting interval families:
 (P3, P4), (P6, 4) and (P8, P9), with the critical pots
 
@@ -29,8 +36,11 @@ import math
 from dataclasses import dataclass, field
 from typing import Callable, NamedTuple
 
+import numpy as np
+
 from . import analytic_ev
-from .game_model import ProfitVector, StrategyProfile, check_pot
+from .game_model import (FREQ_NAMES, FREQ_TOL, MIN_POT, ProfitVector,
+                         StrategyProfile, check_pot)
 
 __all__ = [
     "CriticalPots",
@@ -44,6 +54,7 @@ __all__ = [
     "equilibrium_profit",
     "free_parameters",
     "instantiate",
+    "profile_rows",
     "solution",
     "solutions_for_pot",
     "validity_range",
@@ -121,13 +132,30 @@ def _freqs(**kw) -> dict:
     return out
 
 
-def _split_hi(total: float) -> float:
+def _split_hi(total):
     # both addends of a two-way split must stay in [0, 1]
-    return min(1.0, total)
+    return np.minimum(1.0, total)
 
 
-def _split_lo(total: float) -> float:
-    return max(0.0, total - 1.0)
+def _split_lo(total):
+    return np.maximum(0.0, total - 1.0)
+
+
+def _pow(x, k: int):
+    """``x ** k`` by Python's float power, pot by pot for an array.
+
+    numpy rounds integer powers differently (its ``P**3`` differs from
+    Python's on 145 of the 3001 pots of [2, 8] at step 0.002), so array
+    rows would not match :func:`instantiate`'s.  An overflow (family 10
+    above P ~ 1.3e154) is a ``ValueError``: an infinite denominator would
+    round a small frequency to zero and move the profile to the boundary.
+    """
+    if isinstance(x, np.ndarray):
+        return np.array([_pow(v, k) for v in x.tolist()])
+    try:
+        return float(x) ** k
+    except OverflowError:
+        raise ValueError(f"pot too large: {x:g}**{k} overflows") from None
 
 
 # -- family definitions ------------------------------------------------------
@@ -192,9 +220,9 @@ def _build_2(P, q):
                   c2=q["c2"], d3=q["c2_plus_d3"] - q["c2"])
 
 
-def _a2_sol3(P: float) -> float:
-    disc = P ** 4 - 4 * P ** 3 + 4 * P * P + 12 * P + 12
-    return 0.5 * (4 - P * P + math.sqrt(disc))
+def _a2_sol3(P):
+    disc = _pow(P, 4) - 4 * _pow(P, 3) + 4 * P * P + 12 * P + 12
+    return 0.5 * (4 - P * P + np.sqrt(disc))
 
 
 def _params_3(P, q):
@@ -256,7 +284,7 @@ def _build_6(P, q):
 
 def _build_7(P, q):
     return _freqs(a1=0.5, b1=1 / (P + 1), a2=1.0, b2=2 / (P + 1),
-                  b3=(2 * P + 1) / (P + 1) ** 2, c1=1.0,
+                  b3=(2 * P + 1) / _pow(P + 1, 2), c1=1.0,
                   d2=(P - 2) / (P + 1),
                   c3=(2 * P * P - 6 * P - 7) / (P + 1),
                   d1=(4 + 8 * P - 2 * P * P) / (P + 1),
@@ -279,7 +307,7 @@ def _params_9(P, q):
 def _build_9(P, q):
     s = 2 * P / (P + 1)
     return _freqs(a1=1.0, b1=2 / (P + 1), a2=1.0, b2=2 / (P + 1),
-                  b3=2 * P / (P + 1) ** 2, c1=q["c1"], d2=s - q["c1"],
+                  b3=2 * P / _pow(P + 1, 2), c1=q["c1"], d2=s - q["c1"],
                   c3=1.0, d1=(P - 3) / (P + 1), d3=(2 * P - 4) / (P + 1))
 
 
@@ -303,7 +331,7 @@ def _build_10a(P, q):
 
 def _build_10(P, q):
     return _freqs(a1=1.0, b1=2 / P, a2=1.0, b2=2 / (P + 1),
-                  b3=2 * P / (P + 1) ** 2, c1=(P - 1) / (P + 1), d2=1.0,
+                  b3=2 * P / _pow(P + 1, 2), c1=(P - 1) / (P + 1), d2=1.0,
                   c3=1.0, d1=(P - 3) / (P + 1), c2=(P - 5) / (P + 1), d3=1.0)
 
 
@@ -487,6 +515,36 @@ def instantiate(sol_id: str, pot: float,
         raise FreeParamViolation(
             f"{sol_id}: unknown free parameters {sorted(supplied)}")
     return StrategyProfile.from_dict(sol.build(pot, resolved))
+
+
+def profile_rows(sol_id: str, pots) -> np.ndarray:
+    """Profiles of one family at each of ``pots`` (1-D), free parameters
+    at their midpoints, as rows (m, 11) in ``FREQ_NAMES`` order.
+
+    Row i equals ``instantiate(sol_id, pots[i]).as_tuple()`` bit for bit.
+    The builders run once on the array of pots, and the block is checked
+    and clamped once by the rule of :class:`StrategyProfile`.  Raises
+    :class:`PotOutOfRange`, or ``ValueError`` naming the first frequency
+    outside [0, 1].
+    """
+    sol = solution(sol_id)
+    P = np.asarray(pots, dtype=float)
+    ok = (np.isfinite(P) & (P >= MIN_POT)
+          & (P >= sol.lo - _TOL) & (P <= sol.hi + _TOL))
+    if not ok.all():
+        _check_in_range(sol, P[~ok][0])  # raises for this pot
+    resolved: dict = {}
+    for param in sol.params(P, resolved):
+        resolved[param.name] = param.midpoint
+    freqs = sol.build(P, resolved)
+    F = np.empty((len(P), len(FREQ_NAMES)))
+    for j, name in enumerate(FREQ_NAMES):
+        F[:, j] = freqs[name]
+    inside = ((F >= -FREQ_TOL) & (F <= 1 + FREQ_TOL)).all(axis=1)
+    if not inside.all():
+        StrategyProfile(*F[~inside][0].tolist())  # raises its ValueError
+    # min(1, max(0, v)) as Python evaluates it, -0.0 included
+    return np.where(F < 1.0, np.where(F > 0.0, F, 0.0), 1.0)
 
 
 def equilibrium_profit(sol_id: str, pot: float,

@@ -238,19 +238,22 @@ def _catalog_blocks(grid: list):
 
 
 def _block_profiles(block: list) -> tuple:
-    """Frequency rows (m, 11) and pots (m,) of a block of catalog rows."""
-    F = np.array([catalog.instantiate(sid, pot).as_tuple()
-                  for pot, sid in block])
-    return F, np.array([pot for pot, _ in block])
+    """Frequency rows (m, 11) and pots (m,) of a block of catalog rows,
+    built with one array call per family."""
+    pots = np.array([pot for pot, _ in block])
+    rows_of: dict = {}
+    for i, (_, sid) in enumerate(block):
+        rows_of.setdefault(sid, []).append(i)
+    F = np.empty((len(block), len(FREQ_NAMES)))
+    for sid, rows in rows_of.items():
+        F[rows] = catalog.profile_rows(sid, pots[rows])
+    return F, pots
 
 
 def _sweep_rows_frequencies(block: list) -> list:
-    rows = []
-    for pot, sid in block:
-        prof = catalog.instantiate(sid, pot)
-        vals = ",".join(_fmt(getattr(prof, n)) for n in FREQ_NAMES)
-        rows.append(f"{_fmt(pot)},{sid},{vals}")
-    return rows
+    F, _ = _block_profiles(block)
+    return [f"{_fmt(pot)},{sid},{','.join(map(_fmt, row))}"
+            for (pot, sid), row in zip(block, F.tolist())]
 
 
 def _sweep_rows_profits(block: list) -> list:
@@ -313,6 +316,9 @@ def cmd_sweep(args) -> int:
     icfg = dynamics.IntegratorConfig(dt_sample=args.dt)
     out = args.out or f"sweep_{args.what}.csv"
 
+    if args.what == "classification":
+        # too short to classify is known before any row starts
+        dynamics.tail_start(dynamics.sample_count(args.t_end, icfg.dt_sample))
     try:
         if args.what == "classification":
             chunks = _classification_chunks(grid, seed, args.t_end, icfg)

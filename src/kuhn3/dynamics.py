@@ -51,6 +51,8 @@ __all__ = [
     "logistic",
     "logit",
     "random_initial_profile",
+    "sample_count",
+    "tail_start",
     "vector_field",
 ]
 
@@ -234,13 +236,26 @@ def random_initial_profile(seed: int, lo: float = 0.05,
     return StrategyProfile(*rng.uniform(lo, hi, 11))
 
 
+def sample_count(t_end: float, dt_sample: float) -> int:
+    """Samples of a trajectory integrated to ``t_end``: t = 0, then
+    ``t_end / dt_sample`` sample intervals rounded to a whole number (at
+    least one).  Raises ``ValueError`` for a ``t_end`` that is not
+    positive and finite, or for more than ``MAX_SAMPLES`` samples."""
+    if not (t_end > 0 and math.isfinite(t_end)):
+        raise ValueError(f"t_end must be positive and finite, got {t_end!r}")
+    n = t_end / dt_sample
+    if not n <= MAX_SAMPLES - 1:
+        raise ValueError(f"t_end / dt_sample = {n:.3g} sample intervals; "
+                         f"a trajectory holds at most {MAX_SAMPLES} samples")
+    return max(1, int(round(n))) + 1
+
+
 def _run(initial: StrategyProfile, pot: float, t_end: float, gains,
          config: IntegratorConfig, logit_mode: bool,
          seed: int | None) -> Trajectory:
     pot = check_pot(pot)
-    if not (t_end > 0 and math.isfinite(t_end)):
-        raise ValueError(f"t_end must be positive and finite, got {t_end!r}")
     cfg = config or IntegratorConfig()
+    n = sample_count(t_end, cfg.dt_sample) - 1
     k = gains_array(gains)
     f0 = np.array(initial.as_tuple())
     if logit_mode and not ((f0 > 0.0) & (f0 < 1.0)).all():
@@ -249,11 +264,6 @@ def _run(initial: StrategyProfile, pot: float, t_end: float, gains,
         bad = [n for n, v in zip(FREQ_NAMES, f0) if not 0.0 < v < 1.0]
         raise InvalidInitial(f"initial frequencies on the boundary: {bad}")
 
-    n = t_end / cfg.dt_sample
-    if not n <= MAX_SAMPLES - 1:
-        raise ValueError(f"t_end / dt_sample = {n:.3g} sample intervals; "
-                         f"a trajectory holds at most {MAX_SAMPLES} samples")
-    n = max(1, int(round(n)))
     y0 = np.empty(14)
     y0[:11] = logit(f0, cfg.f_max) if logit_mode else f0
     y0[11:] = 0.0
@@ -486,6 +496,18 @@ def _settle_time(freqs: np.ndarray, times: np.ndarray, band: float):
     return float(times[idx[-1] + 1])
 
 
+def tail_start(n_samples: int, config: ClassifierConfig | None = None) -> int:
+    """Index of the first sample :func:`classify` analyses in a
+    trajectory of ``n_samples`` samples.  Raises :class:`InsufficientData`
+    if the tail from there is shorter than ``min_tail_samples``."""
+    cfg = config or ClassifierConfig()
+    start = int(n_samples * (1 - cfg.tail_fraction))
+    if n_samples - start < cfg.min_tail_samples:
+        raise InsufficientData(f"tail has {n_samples - start} samples, "
+                               f"need >= {cfg.min_tail_samples}")
+    return start
+
+
 def classify(traj: Trajectory,
              config: ClassifierConfig | None = None) -> DynamicsClassification:
     """Classify the tail of a trajectory.
@@ -500,12 +522,7 @@ def classify(traj: Trajectory,
     all-boundary state -> ``BoundaryAbsorbed``.
     """
     cfg = config or ClassifierConfig()
-    n = traj.n_samples
-    tail_start = int(n * (1 - cfg.tail_fraction))
-    tail = traj.freqs[tail_start:]
-    if len(tail) < cfg.min_tail_samples:
-        raise InsufficientData(
-            f"tail has {len(tail)} samples, need >= {cfg.min_tail_samples}")
+    tail = traj.freqs[tail_start(traj.n_samples, cfg):]
 
     band = cfg.boundary_band
     flags: dict = {}

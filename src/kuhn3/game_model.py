@@ -35,6 +35,7 @@ __all__ = [
     "Deal",
     "FREQ_NAMES",
     "FREQ_OWNER",
+    "FREQ_TOL",
     "MIN_POT",
     "ProfitVector",
     "StrategyProfile",
@@ -52,6 +53,9 @@ FREQ_OWNER = {n: int(n[1]) for n in FREQ_NAMES}
 
 #: Smallest pot for which betting with worse than A can ever pay.
 MIN_POT = 2.0
+
+#: Round-off by which a frequency may leave [0, 1] and still be clamped.
+FREQ_TOL = 1e-9
 
 
 class Card(IntEnum):
@@ -91,8 +95,8 @@ def check_pot(pot: float) -> float:
 class StrategyProfile:
     """The eleven free betting/calling frequencies, each in [0, 1].
 
-    Values within 1e-9 outside the unit interval (formula round-off) are
-    clamped; anything further out raises ``ValueError``.
+    Values within ``FREQ_TOL`` outside the unit interval (formula
+    round-off) are clamped; anything further out raises ``ValueError``.
     """
 
     a1: float
@@ -110,7 +114,7 @@ class StrategyProfile:
     def __post_init__(self) -> None:
         for name in FREQ_NAMES:
             v = float(getattr(self, name))
-            if not -1e-9 <= v <= 1 + 1e-9:
+            if not -FREQ_TOL <= v <= 1 + FREQ_TOL:
                 raise ValueError(f"frequency {name}={v!r} outside [0, 1]")
             object.__setattr__(self, name, min(1.0, max(0.0, v)))
 

@@ -1,9 +1,12 @@
+import dataclasses
 import math
 import re
 
 import numpy as np
 import pytest
+from conftest import bits
 
+from kuhn3 import catalog, cli
 from kuhn3.catalog import (
     FreeParamViolation,
     PotOutOfRange,
@@ -13,6 +16,7 @@ from kuhn3.catalog import (
     equilibrium_profit,
     free_parameters,
     instantiate,
+    profile_rows,
     solution,
     solutions_for_pot,
     validity_range,
@@ -173,6 +177,96 @@ class TestInstantiate:
         assert p9.name == "c1"
         assert p9.lo == pytest.approx(3.65 / 5.65, abs=1e-12)
         assert p9.hi == 1.0
+
+
+def _grid(step: float) -> list:
+    return [2.0 + i * step for i in range(int(round(6.0 / step)) + 1)]
+
+
+class TestProfileRows:
+    """``profile_rows`` builds a family's rows in one array call; each
+    must equal ``instantiate``'s profile bit for bit."""
+
+    #: range ends, the pots where families meet, two grids on [2, 8]
+    #: (the finer one is the benchmark's), and large pots of family 10
+    CANDIDATES = sorted({
+        *(v + d for sid in SOLUTION_IDS for v in validity_range(sid)
+          if math.isfinite(v) for d in (-1e-10, 0.0, 1e-10)),
+        *critical_pots(), 2.0, 3.0, 3.5, 5.0,
+        *_grid(0.01), *_grid(0.002), 100.0, 1e6, 1e100, 1e154,
+    })
+
+    @pytest.mark.parametrize("sid", SOLUTION_IDS)
+    def test_matches_instantiate_bit_for_bit(self, sid):
+        sol = solution(sid)
+        pots = [p for p in self.CANDIDATES if p >= 2.0 and sol.contains(p)]
+        assert len(pots) >= (1 if sol.lo == sol.hi else 10)
+        want = np.array([instantiate(sid, p).as_tuple() for p in pots])
+        got = profile_rows(sid, pots)
+        assert got.shape == (len(pots), len(FREQ_NAMES))
+        assert (bits(got) == bits(want)).all(), sid
+
+    def test_pot_out_of_range(self):
+        with pytest.raises(PotOutOfRange):
+            profile_rows("1", [2.5, 3.5])
+        with pytest.raises(ValueError, match="pot must be"):
+            profile_rows("10", [6.0, math.inf])
+        with pytest.raises(ValueError, match="pot must be"):
+            profile_rows("1", [2.0 - 1e-10])
+
+    def test_overflowing_pot_is_an_error(self):
+        # (P + 1)**2 overflows: b3 would round to 0, a boundary profile
+        for build in (lambda p: instantiate("10", p),
+                      lambda p: profile_rows("10", [6.0, p])):
+            with pytest.raises(ValueError, match="pot too large"):
+                build(1e200)
+
+
+class TestBlockValidation:
+    """The block check and clamp follow ``StrategyProfile``'s rule."""
+
+    POTS = (5.5, 6.0, 7.25)
+
+    @pytest.fixture
+    def patch_d2(self, monkeypatch):
+        """Make family 10 build ``d2`` as the given value."""
+        def patch(value):
+            sol = solution("10")
+
+            def build(P, q):
+                return {**sol.build(P, q), "d2": value}
+
+            monkeypatch.setitem(catalog._CATALOG, "10",
+                                dataclasses.replace(sol, build=build))
+        return patch
+
+    def test_round_off_above_one_clamps(self, patch_d2):
+        patch_d2(1 + 1e-10)
+        F = profile_rows("10", self.POTS)
+        assert (bits(F[:, FREQ_NAMES.index("d2")]) == bits(1.0)).all()
+        want = np.array([instantiate("10", p).as_tuple() for p in self.POTS])
+        assert (bits(F) == bits(want)).all()
+
+    @pytest.mark.parametrize("value", [1 + 1e-6, -1e-6, math.nan])
+    def test_out_of_range_names_the_frequency(self, patch_d2, value):
+        patch_d2(value)
+        with pytest.raises(ValueError, match=r"frequency d2=") as block:
+            profile_rows("10", self.POTS)
+        with pytest.raises(ValueError) as row:
+            instantiate("10", self.POTS[0])
+        assert str(block.value) == str(row.value)
+
+    @pytest.mark.parametrize("what", ["frequencies", "profits", "stability"])
+    def test_sweep_exits_as_a_usage_error(self, patch_d2, what, capsys,
+                                          tmp_path):
+        patch_d2(1 + 1e-6)
+        out = tmp_path / "sweep.csv"
+        code = cli.main(["sweep", "--pot-min", "5", "--pot-max", "6",
+                         "--step", "0.5", "--what", what, "--out", str(out)])
+        assert code == cli.EXIT_USAGE
+        err = capsys.readouterr().err
+        assert err.startswith("error: frequency d2=1.000001 outside [0, 1]")
+        assert not out.exists()
 
 
 class TestJunctionContinuity:

@@ -1,10 +1,16 @@
+import contextlib
+import io
 import json
+import math
 import multiprocessing
+import os
 import subprocess
 import sys
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from kuhn3 import _stepper, cli
 from kuhn3.analytic_ev import expected_profit_scaled
@@ -299,6 +305,27 @@ class TestSweep:
         assert not out.exists()
         assert not multiprocessing.active_children()
 
+    def test_too_short_to_classify_starts_no_row(self, capsys, tmp_path,
+                                                 monkeypatch):
+        started = []
+
+        def record(name):
+            def call(*args):
+                started.append(name)
+                raise AssertionError(f"{name} called")
+            return call
+
+        monkeypatch.setattr(_stepper, "integrate_core",
+                            record("integrate_core"))
+        monkeypatch.setattr(os, "fork", record("fork"))
+        out = tmp_path / "cls.csv"
+        code, _, err = run_cli(capsys, "sweep", *self.POOLED[:-1], "100",
+                               "--out", str(out))
+        assert code == 2
+        assert err == "error: tail has 51 samples, need >= 64\n"
+        assert started == []
+        assert not out.exists()
+
     def test_bad_range_rejected(self, capsys):
         code, _, err = run_cli(capsys, "sweep", "--pot-min", "4",
                                "--pot-max", "3", "--step", "0.1",
@@ -403,6 +430,34 @@ class TestRegimePattern:
         with pytest.raises(SystemExit) as exc:
             main(["sweep", "--pot-min", "2"])
         assert exc.value.code == 2
+
+
+#: pot and step values a user might mistype, beside plain ones
+_ODD = [math.nan, math.inf, -math.inf, -1.0, 0.0, -0.0, 5e-324, 1e-12,
+        1.5, 1e300, 1.7976931348623157e308]
+
+
+@given(lo=st.one_of(st.sampled_from(_ODD), st.floats(2.0, 8.0)),
+       hi=st.one_of(st.sampled_from(_ODD), st.floats(2.0, 8.0)),
+       step=st.one_of(st.sampled_from(_ODD), st.floats(0.005, 10.0)),
+       what=st.sampled_from(["frequencies", "profits", "stability"]))
+@example(lo=2.0, hi=1e300, step=1e299, what="profits")
+@example(lo=2.0, hi=1.7976931348623157e308, step=1e308, what="frequencies")
+@example(lo=2.0, hi=3.0, step=math.nan, what="stability")
+@example(lo=2.0, hi=3.0, step=5e-324, what="frequencies")
+@settings(max_examples=60, deadline=None)
+def test_catalog_sweep_arguments_fuzz(lo, hi, step, what):
+    # pots in [2, 8] and steps >= 0.005 keep a drawn grid to <= 1201 pots
+    argv = ["sweep", f"--pot-min={lo!r}", f"--pot-max={hi!r}",
+            f"--step={step!r}", "--what", what, "--out", os.devnull]
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), \
+            contextlib.redirect_stderr(err):
+        code = main(argv)
+    assert code in (0, 2), (code, err.getvalue())
+    assert (code == 0) == (err.getvalue() == ""), err.getvalue()
+    if code == 2:
+        assert err.getvalue().startswith("error: ")
 
 
 _SIM = ("simulate", "--pot", "2.5", "--seed", "1", "--t-end", "10")
