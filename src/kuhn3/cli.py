@@ -85,7 +85,7 @@ def _load_profile(path: str) -> StrategyProfile:
         raise CliError("profile file must be a JSON object of frequencies")
     try:
         return StrategyProfile.from_dict(data)
-    except ValueError as exc:
+    except (TypeError, ValueError, OverflowError) as exc:
         raise CliError(f"bad profile: {exc}")
 
 
@@ -98,7 +98,7 @@ def _load_gains(path: str | None):
         return dynamics.gains_array(data)
     except OSError as exc:
         raise CliError(f"cannot read gains file: {exc}")
-    except (json.JSONDecodeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:
         raise CliError(f"bad gains file: {exc}")
 
 
@@ -138,8 +138,8 @@ def cmd_equilibria(args) -> int:
 
 def cmd_verify(args) -> int:
     pot = check_pot(args.pot)
-    if not args.tol > 0:
-        raise CliError(f"tol must be positive (got {args.tol:g})")
+    if not (args.tol > 0 and math.isfinite(args.tol)):
+        raise CliError(f"tol must be positive and finite (got {args.tol:g})")
     profile = _load_profile(args.profile)
     report = verify.best_response_check(profile, pot, tol=args.tol)
     print(json.dumps(report.to_json(profile)))

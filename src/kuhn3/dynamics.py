@@ -120,6 +120,11 @@ def logistic(F: np.ndarray, f_max: float = 40.0) -> np.ndarray:
     return 1.0 / (1.0 + np.exp(-F))
 
 
+#: Smallest relative tolerance (as in scipy's ``solve_ivp``): below it the
+#: step size, and with it the cost of a run, has no floor.
+RTOL_MIN = 100 * np.finfo(float).eps
+
+
 @dataclass(frozen=True)
 class IntegratorConfig:
     """Error control and sampling for :func:`integrate`."""
@@ -136,9 +141,11 @@ class IntegratorConfig:
         bad = [n for n, v in vars(self).items() if not math.isfinite(v)]
         if bad:
             raise ValueError(f"integrator settings must be finite: {bad}")
-        if self.rtol < 0 or self.atol < 0 or self.rtol == self.atol == 0:
-            raise ValueError("rtol and atol must be >= 0 and not both zero "
-                             f"(got rtol={self.rtol:g}, atol={self.atol:g})")
+        if not self.rtol >= RTOL_MIN:
+            raise ValueError(f"rtol must be >= {RTOL_MIN:.3g}; tighter is "
+                             f"below double precision (got {self.rtol:g})")
+        if self.atol < 0:
+            raise ValueError(f"atol must be >= 0 (got {self.atol:g})")
         for name in ("dt_sample", "f_max", "h0", "h_min"):
             if not getattr(self, name) > 0:
                 raise ValueError(f"{name} must be positive "
@@ -238,16 +245,21 @@ def random_initial_profile(seed: int, lo: float = 0.05,
 
 def sample_count(t_end: float, dt_sample: float) -> int:
     """Samples of a trajectory integrated to ``t_end``: t = 0, then
-    ``t_end / dt_sample`` sample intervals rounded to a whole number (at
-    least one).  Raises ``ValueError`` for a ``t_end`` that is not
-    positive and finite, or for more than ``MAX_SAMPLES`` samples."""
+    ``t_end / dt_sample`` sample intervals rounded to a whole number, so
+    the run ends within half an interval of ``t_end``.  Raises
+    ``ValueError`` for a ``t_end`` that is not positive and finite, for a
+    sampling interval longer than ``t_end`` (the run would end at the
+    interval instead), or for more than ``MAX_SAMPLES`` samples."""
     if not (t_end > 0 and math.isfinite(t_end)):
         raise ValueError(f"t_end must be positive and finite, got {t_end!r}")
+    if dt_sample > t_end:
+        raise ValueError(f"sampling interval {dt_sample!r} exceeds t_end "
+                         f"{t_end!r}")
     n = t_end / dt_sample
     if not n <= MAX_SAMPLES - 1:
         raise ValueError(f"t_end / dt_sample = {n:.3g} sample intervals; "
                          f"a trajectory holds at most {MAX_SAMPLES} samples")
-    return max(1, int(round(n))) + 1
+    return int(round(n)) + 1
 
 
 def _run(initial: StrategyProfile, pot: float, t_end: float, gains,

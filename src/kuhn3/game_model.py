@@ -17,9 +17,16 @@ frequencies per profile:
     c_i  call a bet with K
     d_i  call with K after a bet and a fold
 
-``expected_profit_bruteforce`` enumerates all 24 deals and walks the betting
-tree directly; it is the independent oracle against which the closed-form
-polynomials of :mod:`kuhn3.analytic_ev` are checked.
+``expected_profit_bruteforce`` is the independent oracle against which the
+closed-form polynomials of :mod:`kuhn3.analytic_ev` are checked.  At import,
+the betting tree of each of the 24 deals is walked once, from the cards,
+the betting order and the payoff rules alone, into one table of leaves
+(sequence form, von Stengel 1996).  A leaf holds its reach probability as
+at most three indices into v = [1, f_1..f_11, 1 - f_1..1 - f_11] and its
+payoff to each player as stake + P * share.  A profile's value is then the
+sum over leaves of reach probability times payoff: one gather, one product
+along the rows and two dot products, for ``hand_value`` over one deal's
+leaves and for ``expected_profit_bruteforce`` over all of them.
 """
 
 from __future__ import annotations
@@ -29,6 +36,8 @@ import math
 from dataclasses import dataclass
 from enum import IntEnum
 from typing import NamedTuple
+
+import numpy as np
 
 __all__ = [
     "Card",
@@ -150,8 +159,6 @@ class StrategyProfile:
         return tuple(getattr(self, n) for n in FREQ_NAMES)
 
     def as_array(self):
-        import numpy as np
-
         return np.array(self.as_tuple())
 
     def replace(self, **kw) -> "StrategyProfile":
@@ -168,120 +175,170 @@ def enumerate_deals() -> list[Deal]:
 _DEALS = tuple(enumerate_deals())
 
 
-def _open_bet(player: int, card: Card, p: StrategyProfile) -> float:
+#: Factor index of probability 1.  A behaviour probability is an index into
+#: a profile's factor vector v = [1, f_1..f_11, 1 - f_1..1 - f_11] (see
+#: ``_reach``); ``_NEVER`` marks an action the rules rule out.
+_ALWAYS = 0
+_NEVER = -1
+
+_N = len(FREQ_NAMES)
+_F = {name: 1 + k for k, name in enumerate(FREQ_NAMES)}
+
+
+def _not(i: int) -> int:
+    """Factor index of the complementary probability 1 - v[i]."""
+    if i == _ALWAYS:
+        return _NEVER
+    if i == _NEVER:
+        return _ALWAYS
+    return i + _N if i <= _N else i - _N
+
+
+def _open_bet(player: int, card: Card) -> int:
     """Probability of opening with a bet (no bet yet in front)."""
     if card == Card.A:
-        return (p.a1, p.a2, 1.0)[player - 1]
+        return (_F["a1"], _F["a2"], _ALWAYS)[player - 1]
     if card == Card.Q:
-        return (p.b1, p.b2, p.b3)[player - 1]
-    return 0.0  # K never opens; J is dead
+        return (_F["b1"], _F["b2"], _F["b3"])[player - 1]
+    return _NEVER  # K never opens; J is dead
 
 
-def _call_first(player: int, card: Card, p: StrategyProfile) -> float:
+def _call_first(player: int, card: Card) -> int:
     """Probability of calling as first responder to a bet."""
     if card == Card.A:
-        return 1.0
+        return _ALWAYS
     if card == Card.K:
-        return (p.c1, p.c2, p.c3)[player - 1]
-    return 0.0
+        return (_F["c1"], _F["c2"], _F["c3"])[player - 1]
+    return _NEVER
 
 
-def _call_after_fold(player: int, card: Card, p: StrategyProfile) -> float:
+def _call_after_fold(player: int, card: Card) -> int:
     """Probability of calling a bet after the other opponent folded."""
     if card == Card.A:
-        return 1.0
+        return _ALWAYS
     if card == Card.K:
-        return (p.d1, p.d2, p.d3)[player - 1]
-    return 0.0
+        return (_F["d1"], _F["d2"], _F["d3"])[player - 1]
+    return _NEVER
 
 
-def _call_closing(card: Card) -> float:
+def _call_closing(card: Card) -> int:
     """Closing call after a bet and a call: A only."""
-    return 1.0 if card == Card.A else 0.0
+    return _ALWAYS if card == Card.A else _NEVER
+
+
+def _deal_leaves(deal: Deal) -> list:
+    """The leaves of one deal's betting tree that the rules can reach.
+
+    Each leaf is ``(factors, stake, share)``: it is reached with probability
+    prod(v[factors]) and pays player i ``stake[i] + P * share[i]`` chips.
+    The bettor and each caller stake one chip, the showdown winner takes
+    the pot plus all staked chips, and an uncontested pot goes to the
+    bettor.
+    """
+    cards = (deal.p1, deal.p2, deal.p3)
+    leaves = []
+
+    def settle(factors: tuple, contenders: tuple, bet: int) -> None:
+        # each contender has put in ``bet`` chips; the best card among
+        # them takes the pot and the other contenders' bets
+        if _NEVER in factors:
+            return
+        winner = max(contenders, key=lambda i: cards[i])
+        stake, share = [0, 0, 0], [0, 0, 0]
+        for i in contenders:
+            stake[i] = -bet
+        stake[winner] = bet * (len(contenders) - 1)
+        share[winner] = 1
+        leaves.append((tuple(i for i in factors if i != _ALWAYS), stake,
+                       share))
+
+    # player 1 opens with a bet; players 2 then 3 respond
+    bet1 = _open_bet(1, cards[0])
+    r2 = _call_first(2, cards[1])
+    r3c = _call_closing(cards[2])
+    r3f = _call_after_fold(3, cards[2])
+    settle((bet1, r2, r3c), (0, 1, 2), 1)
+    settle((bet1, r2, _not(r3c)), (0, 1), 1)
+    settle((bet1, _not(r2), r3f), (0, 2), 1)
+    settle((bet1, _not(r2), _not(r3f)), (0,), 1)
+
+    # players 2 and 3 open only after the checks in front of them
+    open2 = _open_bet(2, cards[1])
+    open3 = _open_bet(3, cards[2])
+
+    # player 1 checks, player 2 bets; players 3 then 1 respond
+    bet2 = (_not(bet1), open2)
+    r3 = _call_first(3, cards[2])
+    r1c = _call_closing(cards[0])
+    r1f = _call_after_fold(1, cards[0])
+    settle((*bet2, r3, r1c), (1, 2, 0), 1)
+    settle((*bet2, r3, _not(r1c)), (1, 2), 1)
+    settle((*bet2, _not(r3), r1f), (1, 0), 1)
+    settle((*bet2, _not(r3), _not(r1f)), (1,), 1)
+
+    # players 1 and 2 check, player 3 bets; players 1 then 2 respond
+    bet3 = (_not(bet1), _not(open2), open3)
+    r1 = _call_first(1, cards[0])
+    r2c = _call_closing(cards[1])
+    r2f = _call_after_fold(2, cards[1])
+    settle((*bet3, r1, r2c), (2, 0, 1), 1)
+    settle((*bet3, r1, _not(r2c)), (2, 0), 1)
+    settle((*bet3, _not(r1), r2f), (2, 1), 1)
+    settle((*bet3, _not(r1), _not(r2f)), (2,), 1)
+
+    # check/check/check: showdown of all three for the bare pot
+    settle((_not(bet1), _not(open2), _not(open3)), (0, 1, 2), 0)
+    return leaves
+
+
+def _compile() -> tuple:
+    """Every deal's leaves in one table: factor indices (L, W), padded with
+    ``_ALWAYS``; stakes and pot shares (L, 3); each deal's row slice."""
+    factors, stake, share, rows = [], [], [], {}
+    for deal in _DEALS:
+        start = len(factors)
+        for f, a, b in _deal_leaves(deal):
+            factors.append(f)
+            stake.append(a)
+            share.append(b)
+        rows[deal] = slice(start, len(factors))
+    width = max(map(len, factors))
+    factors = [f + (_ALWAYS,) * (width - len(f)) for f in factors]
+    return (np.array(factors, dtype=np.intp), np.array(stake, dtype=float),
+            np.array(share, dtype=float), rows)
+
+
+_LEAF_FACTORS, _LEAF_STAKE, _LEAF_SHARE, _DEAL_ROWS = _compile()
+
+
+def _reach(profile: StrategyProfile, rows: slice = slice(None)) -> np.ndarray:
+    """Reach probability of each leaf in ``rows`` of the table."""
+    f = np.array(profile.as_tuple())
+    v = np.concatenate(((1.0,), f, 1.0 - f))
+    return v[_LEAF_FACTORS[rows]].prod(axis=1)
 
 
 def hand_value(deal: Deal, profile: StrategyProfile, pot: float) -> tuple:
     """Expected raw chips per player for one deal (baseline not subtracted).
 
-    Walks every branch of the betting tree: the bettor and each caller stake
-    one chip, the showdown winner takes the pot plus all staked chips, and an
-    uncontested pot goes to the bettor.  The returned triple sums to ``pot``
-    for every profile.
+    Sums every leaf of the deal's betting tree, its reach probability times
+    its payoff.  The returned triple sums to ``pot`` for every profile.
     """
     pot = check_pot(pot)
-    cards = (deal.p1, deal.p2, deal.p3)
-    v = [0.0, 0.0, 0.0]
-
-    def settle(prob: float, bettor: int, callers: tuple) -> None:
-        if prob == 0.0:
-            return
-        if not callers:
-            v[bettor] += prob * pot
-            return
-        contenders = (bettor, *callers)
-        winner = max(contenders, key=lambda i: cards[i])
-        stake = len(contenders) - 1
-        for i in contenders:
-            v[i] += prob * (pot + stake if i == winner else -1.0)
-
-    # player 1 opens with a bet; players 2 then 3 respond
-    bet1 = _open_bet(1, cards[0], profile)
-    if bet1 > 0.0:
-        r2 = _call_first(2, cards[1], profile)
-        r3c = _call_closing(cards[2])
-        r3f = _call_after_fold(3, cards[2], profile)
-        settle(bet1 * r2 * r3c, 0, (1, 2))
-        settle(bet1 * r2 * (1 - r3c), 0, (1,))
-        settle(bet1 * (1 - r2) * r3f, 0, (2,))
-        settle(bet1 * (1 - r2) * (1 - r3f), 0, ())
-
-    # players 2 and 3 open only after the checks in front of them
-    open2 = _open_bet(2, cards[1], profile)
-    open3 = _open_bet(3, cards[2], profile)
-
-    # player 1 checks, player 2 bets; players 3 then 1 respond
-    bet2 = (1 - bet1) * open2
-    if bet2 > 0.0:
-        r3 = _call_first(3, cards[2], profile)
-        r1c = _call_closing(cards[0])
-        r1f = _call_after_fold(1, cards[0], profile)
-        settle(bet2 * r3 * r1c, 1, (2, 0))
-        settle(bet2 * r3 * (1 - r1c), 1, (2,))
-        settle(bet2 * (1 - r3) * r1f, 1, (0,))
-        settle(bet2 * (1 - r3) * (1 - r1f), 1, ())
-
-    # players 1 and 2 check, player 3 bets; players 1 then 2 respond
-    bet3 = (1 - bet1) * (1 - open2) * open3
-    if bet3 > 0.0:
-        r1 = _call_first(1, cards[0], profile)
-        r2c = _call_closing(cards[1])
-        r2f = _call_after_fold(2, cards[1], profile)
-        settle(bet3 * r1 * r2c, 2, (0, 1))
-        settle(bet3 * r1 * (1 - r2c), 2, (0,))
-        settle(bet3 * (1 - r1) * r2f, 2, (1,))
-        settle(bet3 * (1 - r1) * (1 - r2f), 2, ())
-
-    # check/check/check: showdown of all three for the bare pot
-    checks = (1 - bet1) * (1 - open2) * (1 - open3)
-    if checks > 0.0:
-        winner = max(range(3), key=lambda i: cards[i])
-        v[winner] += checks * pot
-
-    return tuple(v)
+    rows = _DEAL_ROWS[deal]
+    reach = _reach(profile, rows)
+    v = reach @ _LEAF_STAKE[rows] + pot * (reach @ _LEAF_SHARE[rows])
+    return tuple(v.tolist())
 
 
 def expected_profit_bruteforce(profile: StrategyProfile, pot: float) -> ProfitVector:
     """Expected profit per player by enumeration over all 24 deals.
 
-    Averages :func:`hand_value` with weight 1/24 (fixed deal order for
-    reproducibility) and subtracts the all-check baseline P/3 from each
-    player, which makes the result exactly zero-sum.
+    Averages the leaf payoffs of every deal with weight 1/24 and subtracts
+    the all-check baseline P/3 from each player, which makes the result
+    zero-sum.
     """
     pot = check_pot(pot)
-    tot = [0.0, 0.0, 0.0]
-    for deal in _DEALS:
-        hv = hand_value(deal, profile, pot)
-        tot[0] += hv[0]
-        tot[1] += hv[1]
-        tot[2] += hv[2]
-    return ProfitVector(*(t / 24.0 - pot / 3.0 for t in tot))
+    reach = _reach(profile)
+    tot = reach @ _LEAF_STAKE + pot * (reach @ _LEAF_SHARE)
+    return ProfitVector(*(t / 24.0 - pot / 3.0 for t in tot.tolist()))

@@ -432,14 +432,26 @@ class TestRegimePattern:
         assert exc.value.code == 2
 
 
+def _run_quietly(argv: list) -> tuple:
+    """(exit code, stderr) of ``main(argv)`` with its output captured."""
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), \
+            contextlib.redirect_stderr(err):
+        code = main(argv)
+    return code, err.getvalue()
+
+
 #: pot and step values a user might mistype, beside plain ones
 _ODD = [math.nan, math.inf, -math.inf, -1.0, 0.0, -0.0, 5e-324, 1e-12,
         1.5, 1e300, 1.7976931348623157e308]
 
 
-@given(lo=st.one_of(st.sampled_from(_ODD), st.floats(2.0, 8.0)),
-       hi=st.one_of(st.sampled_from(_ODD), st.floats(2.0, 8.0)),
-       step=st.one_of(st.sampled_from(_ODD), st.floats(0.005, 10.0)),
+def _plain_or_odd(lo: float, hi: float):
+    return st.one_of(st.sampled_from(_ODD), st.floats(lo, hi))
+
+
+@given(lo=_plain_or_odd(2.0, 8.0), hi=_plain_or_odd(2.0, 8.0),
+       step=_plain_or_odd(0.005, 10.0),
        what=st.sampled_from(["frequencies", "profits", "stability"]))
 @example(lo=2.0, hi=1e300, step=1e299, what="profits")
 @example(lo=2.0, hi=1.7976931348623157e308, step=1e308, what="frequencies")
@@ -450,14 +462,61 @@ def test_catalog_sweep_arguments_fuzz(lo, hi, step, what):
     # pots in [2, 8] and steps >= 0.005 keep a drawn grid to <= 1201 pots
     argv = ["sweep", f"--pot-min={lo!r}", f"--pot-max={hi!r}",
             f"--step={step!r}", "--what", what, "--out", os.devnull]
-    err = io.StringIO()
-    with contextlib.redirect_stdout(io.StringIO()), \
-            contextlib.redirect_stderr(err):
-        code = main(argv)
-    assert code in (0, 2), (code, err.getvalue())
-    assert (code == 0) == (err.getvalue() == ""), err.getvalue()
+    code, err = _run_quietly(argv)
+    assert code in (0, 2), (code, err)
+    assert (code == 0) == (err == ""), err
     if code == 2:
-        assert err.getvalue().startswith("error: ")
+        assert err.startswith("error: ")
+
+
+@given(pot=_plain_or_odd(2.0, 8.0),
+       t_end=st.one_of(st.sampled_from(_ODD[:8]), st.floats(0.5, 2.0)),
+       dt=_plain_or_odd(0.05, 4.0), rtol=_plain_or_odd(1e-14, 1e-2),
+       atol=_plain_or_odd(0.0, 1e-2), f_max=_plain_or_odd(1e-3, 1e3),
+       seed=st.integers(-3, 2**70), fmt=st.sampled_from(["csv", "json"]))
+@example(pot=2.5, t_end=1.0, dt=1e300, rtol=1e-9, atol=1e-11, f_max=40.0,
+         seed=1, fmt="csv")
+@example(pot=2.5, t_end=1.0, dt=0.5, rtol=0.0, atol=1e-22, f_max=40.0,
+         seed=1, fmt="csv")
+@settings(max_examples=150, deadline=None)
+def test_simulate_arguments_fuzz(pot, t_end, dt, rtol, atol, f_max, seed,
+                                 fmt):
+    # the odd t_end values stop at 1e-12, so every run stays short
+    argv = ["simulate", f"--pot={pot!r}", f"--t-end={t_end!r}",
+            f"--dt={dt!r}", f"--rtol={rtol!r}", f"--atol={atol!r}",
+            f"--f-max={f_max!r}", f"--seed={seed}", "--format", fmt,
+            "--out", os.devnull]
+    code, err = _run_quietly(argv)
+    assert code in (0, 2, 3), (code, err)
+    assert (code == 0) == ("error: " not in err), err
+    if code:
+        assert err.splitlines()[-1].startswith("error: "), err
+
+
+_JSON_VALUES = st.one_of(
+    st.floats(0.0, 1.0), st.sampled_from(_ODD), st.none(), st.booleans(),
+    st.text(max_size=4), st.integers(-10**400, 10**400),
+    st.lists(st.floats(0.0, 1.0), max_size=2))
+
+
+@given(pot=_plain_or_odd(2.0, 8.0), tol=_plain_or_odd(1e-12, 1.0),
+       profile=st.one_of(
+           st.fixed_dictionaries({n: _JSON_VALUES for n in FREQ_NAMES}),
+           st.fixed_dictionaries({n: st.floats(0.0, 1.0)
+                                  for n in FREQ_NAMES}),
+           st.dictionaries(st.sampled_from([*FREQ_NAMES, "a3"]),
+                           st.floats(0.0, 1.0)),
+           _JSON_VALUES))
+@settings(max_examples=150, deadline=None)
+def test_verify_arguments_fuzz(pot, tol, profile, tmp_path_factory):
+    path = tmp_path_factory.mktemp("verify") / "profile.json"
+    path.write_text(json.dumps(profile))
+    argv = ["verify", "--profile", str(path), f"--pot={pot!r}",
+            f"--tol={tol!r}"]
+    code, err = _run_quietly(argv)
+    assert code in (0, 1, 2), (code, err)
+    assert (code == 2) == err.startswith("error: "), err
+    assert (code == 2) == (err != ""), err
 
 
 _SIM = ("simulate", "--pot", "2.5", "--seed", "1", "--t-end", "10")

@@ -1,10 +1,13 @@
 import json
+import math
 import pickle
 import subprocess
 import sys
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from kuhn3.analytic_ev import expected_profit
 from kuhn3.catalog import instantiate
@@ -14,6 +17,7 @@ from kuhn3.dynamics import (
     IntegratorConfig,
     InvalidInitial,
     Label,
+    RTOL_MIN,
     StepSizeUnderflow,
     TRAJECTORY_CSV_HEADER,
     WindowOutOfRange,
@@ -153,6 +157,18 @@ class TestVectorField:
             assert a.tobytes() == b.tobytes()
 
 
+#: setting values a user might mistype, beside plain ones
+_ODD = [math.nan, math.inf, -math.inf, -1.0, 0.0, -0.0, 5e-324, 1e-300,
+        1e-12, 1.5, 1e300]
+
+#: plain ranges of the ``IntegratorConfig`` fields; sampling intervals of at
+#: least 0.05 keep a fuzzed run of t <= 2 to at most 40 samples
+_CONFIG_RANGES = {"rtol": (1e-14, 1e-2), "atol": (0.0, 1e-2),
+                  "f_max": (1e-3, 1e3), "dt_sample": (0.05, 4.0),
+                  "dwell_time": (0.0, 100.0), "h0": (1e-9, 10.0),
+                  "h_min": (1e-300, 1e-3)}
+
+
 class TestIntegrate:
     def test_rejects_boundary_initial(self):
         with pytest.raises(InvalidInitial):
@@ -270,11 +286,42 @@ class TestIntegrate:
     @pytest.mark.parametrize("settings", [
         {"rtol": float("nan")}, {"rtol": -1e-9}, {"atol": float("inf")},
         {"rtol": 0.0, "atol": 0.0}, {"dt_sample": 0.0}, {"f_max": 0.0},
-        {"h0": -1e-3}, {"h_min": 0.0},
+        {"h0": -1e-3}, {"h_min": 0.0}, {"rtol": 0.0},
+        {"rtol": RTOL_MIN / 2, "atol": 1e-22},
     ])
     def test_config_rejects_bad_settings(self, settings):
         with pytest.raises(ValueError):
             IntegratorConfig(**settings)
+
+    def test_sampling_interval_longer_than_the_run_is_rejected(self):
+        p0 = random_initial_profile(1)
+        with pytest.raises(ValueError, match="exceeds t_end"):
+            integrate(p0, 2.5, 1.0, config=IntegratorConfig(dt_sample=1e6))
+        traj = integrate(p0, 2.5, 1.0, config=IntegratorConfig(dt_sample=0.75))
+        assert traj.t_end == 0.75
+
+    @given(**{name: st.one_of(st.sampled_from(_ODD), st.floats(lo, hi))
+              for name, (lo, hi) in _CONFIG_RANGES.items()},
+           t_end=st.floats(0.5, 2.0))
+    @example(rtol=RTOL_MIN, atol=0.0, f_max=40.0, dt_sample=0.05,
+             dwell_time=50.0, h0=1e-3, h_min=5e-324, t_end=2.0)
+    @example(rtol=1e-9, atol=1e-11, f_max=40.0, dt_sample=1e300,
+             dwell_time=50.0, h0=1e-3, h_min=1e-12, t_end=1.0)
+    @settings(max_examples=300, deadline=None)
+    def test_config_fuzz(self, t_end, **fields):
+        # every setting is either rejected or gives a run that ends: a
+        # trajectory or a step-size underflow, never a hang
+        try:
+            cfg = IntegratorConfig(**fields)
+        except ValueError:
+            return
+        try:
+            traj = integrate(random_initial_profile(1), 2.5, t_end,
+                             config=cfg)
+        except (StepSizeUnderflow, ValueError):
+            return
+        assert abs(traj.t_end - t_end) <= cfg.dt_sample / 2
+        assert np.isfinite(traj.logits).all()
 
     def test_coordinate_chart_equivalence(self):
         p0 = random_initial_profile(7)

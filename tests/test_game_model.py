@@ -1,8 +1,13 @@
+import ast
+import inspect
+import itertools
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from kuhn3 import game_model
 from kuhn3.game_model import (
     Card,
     Deal,
@@ -162,3 +167,80 @@ class TestExpectedProfitBruteforce:
     def test_rejects_small_pot(self):
         with pytest.raises(ValueError, match="pot"):
             expected_profit_bruteforce(StrategyProfile.zeros(), 1.5)
+
+
+def _deal_reach(profile: StrategyProfile) -> np.ndarray:
+    """(24, leaves per deal, padded with nan) reach probabilities."""
+    reach = game_model._reach(profile)
+    rows = list(game_model._DEAL_ROWS.values())
+    out = np.full((len(rows), max(r.stop - r.start for r in rows)), np.nan)
+    for i, r in enumerate(rows):
+        out[i, :r.stop - r.start] = reach[r]
+    return out
+
+
+_CORNERS = [StrategyProfile(*bits)
+            for bits in itertools.product((0.0, 1.0), repeat=11)]
+
+
+class TestLeafTable:
+    def test_every_deal_has_leaves(self):
+        assert list(game_model._DEAL_ROWS) == enumerate_deals()
+        assert game_model._LEAF_FACTORS.shape[1] <= 3
+
+    def test_no_frequency_twice_on_a_path(self):
+        # v[k] is f_k and v[k + 11] is 1 - f_k: a path reads each at most once
+        for row in game_model._LEAF_FACTORS.tolist():
+            freqs = [(i - 1) % 11 for i in row if i != game_model._ALWAYS]
+            assert len(freqs) == len(set(freqs)), row
+
+    def test_reach_sums_to_one_on_random_profiles(self, rng):
+        for _ in range(200):
+            reach = _deal_reach(StrategyProfile(*rng.uniform(0, 1, 11)))
+            np.testing.assert_allclose(np.nansum(reach, axis=1), 1.0,
+                                       rtol=0, atol=1e-15)
+
+    def test_reach_sums_to_one_on_corners(self):
+        for prof in _CORNERS:
+            reach = _deal_reach(prof)
+            np.testing.assert_allclose(np.nansum(reach, axis=1), 1.0,
+                                       rtol=0, atol=1e-15)
+
+    def test_corner_profiles_take_one_path_per_deal(self):
+        # pots whose sums with the integer stakes are exact
+        pots = (2.0, 2.5, 3.25, 6.0)
+        for n, prof in enumerate(_CORNERS):
+            reach = _deal_reach(prof)
+            assert ((reach == 1.0).sum(axis=1) == 1).all()
+            assert ((reach == 0.0) | (reach == 1.0)
+                    | np.isnan(reach)).all()
+            pot = pots[n % len(pots)]
+            for deal in enumerate_deals():
+                assert sum(hand_value(deal, prof, pot)) == pot
+
+    def test_oracle_never_imports_the_closed_form(self):
+        tree = ast.parse(inspect.getsource(game_model))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                names = [a.name for a in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                names = [node.module or ""]
+                names += [f"{node.module or ''}.{a.name}" for a in node.names]
+            else:
+                continue
+            for name in names:
+                assert "analytic_ev" not in name, ast.dump(node)
+
+
+class TestMultilinearity:
+    # E is affine in each frequency on its own, which the closed form of
+    # kuhn3.analytic_ev takes for granted; checked on the oracle alone
+    @given(profiles, pots, unit)
+    @settings(max_examples=100, deadline=None)
+    def test_each_frequency_enters_affinely(self, prof, pot, t):
+        for name in FREQ_NAMES:
+            e0, e1, et = (expected_profit_bruteforce(prof.replace(**{name: x}),
+                                                     pot)
+                          for x in (0.0, 1.0, t))
+            for a, b, c in zip(et, e0, e1):
+                assert abs(a - ((1 - t) * b + t * c)) <= 1e-12, name
