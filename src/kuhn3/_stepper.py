@@ -24,6 +24,7 @@ the same bits before and after the clip.
 from __future__ import annotations
 
 import math
+import sys
 
 import numpy as np
 
@@ -55,13 +56,9 @@ _T = np.vstack([_A, _EC])
 def _rhs(y, pot, k, f_max, logit, out):
     v = y[:11].tolist()
     if logit:
-        try:
-            fl = [1.0 / (1.0 + math.exp(f_max if x <= -f_max else
-                                        -f_max if x >= f_max else -x))
-                  for x in v]
-        except OverflowError:  # f_max beyond exp's range: f -> 0 there
-            fl = (1.0 / (1.0 + np.exp(-np.minimum(np.maximum(
-                y[:11], -f_max), f_max)))).tolist()
+        fl = [1.0 / (1.0 + math.exp(f_max if x <= -f_max else
+                                    -f_max if x >= f_max else -x))
+              for x in v]
         g = _partials(fl, pot)
         row = [ki * gi for ki, gi in zip(k, g)]
     else:
@@ -81,7 +78,9 @@ def integrate_core(y0, pot, k, n_samples, dt_sample, rtol, atol, f_max,
     on STATUS_STEP_UNDERFLOW only rows up to the last completed sample are
     valid and t_reached reports how far the integration got.  A step whose
     error norm is not finite is rejected with the smallest step factor, so
-    it ends in STATUS_STEP_UNDERFLOW rather than looping.
+    it ends in STATUS_STEP_UNDERFLOW rather than looping.  So does a step
+    below the smallest normal double, where the step control rounds and a
+    step can stall at a few subnormals, whatever h_min.
     """
     ys = np.empty((n_samples + 1, _NSTATE))
     ys[0] = y0
@@ -93,6 +92,7 @@ def integrate_core(y0, pot, k, n_samples, dt_sample, rtol, atol, f_max,
     lo, hi = (-f_max, f_max) if logit else (0.0, 1.0)
     _rhs(y, pot, k, f_max, logit, K[0])
 
+    h_min = max(h_min, sys.float_info.min)
     t = 0.0
     h = h0
     isamp = 1

@@ -33,7 +33,8 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .game_model import MIN_POT, ProfitVector, StrategyProfile, check_pot
+from .game_model import (ProfitVector, StrategyProfile, check_pot,
+                         check_pots)
 
 __all__ = [
     "GradientVector",
@@ -112,12 +113,10 @@ def _as_rows(profile, pot) -> tuple:
         return (np.array([profile.as_tuple()]), np.array([check_pot(pot)]),
                 False)
     F = np.asarray(profile, dtype=float)
-    P = np.asarray(pot, dtype=float)
+    P = check_pots(pot)
     if F.ndim != 2 or F.shape[1] != 11 or P.shape != F.shape[:1]:
         raise ValueError(f"expected (n, 11) frequency rows and n pots, "
                          f"got shapes {F.shape} and {P.shape}")
-    if not (P >= MIN_POT).all() or not np.isfinite(P).all():
-        raise ValueError(f"pots must be >= {MIN_POT:g} and finite")
     return F, P, True
 
 

@@ -39,8 +39,8 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from . import analytic_ev
-from .game_model import (FREQ_NAMES, FREQ_TOL, MIN_POT, ProfitVector,
-                         StrategyProfile, check_pot)
+from .game_model import (FREQ_NAMES, FREQ_TOL, ProfitVector,
+                         StrategyProfile, check_pot, check_pots)
 
 __all__ = [
     "CriticalPots",
@@ -55,6 +55,7 @@ __all__ = [
     "free_parameters",
     "instantiate",
     "profile_rows",
+    "rows_at",
     "solution",
     "solutions_for_pot",
     "validity_range",
@@ -121,8 +122,9 @@ class EquilibriumSolution:
     params: Callable = field(repr=False)
     build: Callable = field(repr=False)
 
-    def contains(self, pot: float) -> bool:
-        return self.lo - _TOL <= pot <= self.hi + _TOL
+    def contains(self, pot):
+        """Whether ``pot`` (a float, or an array elementwise) is valid."""
+        return (self.lo - _TOL <= pot) & (pot <= self.hi + _TOL)
 
 
 def _freqs(**kw) -> dict:
@@ -132,13 +134,19 @@ def _freqs(**kw) -> dict:
     return out
 
 
-def _split_hi(total):
-    # both addends of a two-way split must stay in [0, 1]
-    return np.minimum(1.0, total)
+def _addend(name: str, total) -> FreeParam:
+    """The first addend of a sum ``total``: free wherever both addends
+    stay in [0, 1]."""
+    return FreeParam(name, np.maximum(0.0, total - 1.0),
+                     np.minimum(1.0, total))
 
 
-def _split_lo(total):
-    return np.maximum(0.0, total - 1.0)
+def _free_sum(first: str, second: str, lo, hi, q):
+    """The sum ``first + second`` free in [lo, hi], then its first addend
+    (see :func:`_addend`)."""
+    total = f"{first}_plus_{second}"
+    yield FreeParam(total, lo, hi)
+    yield _addend(first, q[total])
 
 
 def _pow(x, k: int):
@@ -162,13 +170,8 @@ def _pow(x, k: int):
 
 def _params_1a(P, q):
     yield FreeParam("b3", 0.0, 2 / 3)
-    b3 = q["b3"]
-    yield FreeParam("c3_plus_d1", 0.0, b3)
-    s = q["c3_plus_d1"]
-    yield FreeParam("c3", _split_lo(s), _split_hi(s))
-    yield FreeParam("c2_plus_d3", 0.0, b3)
-    s = q["c2_plus_d3"]
-    yield FreeParam("c2", _split_lo(s), _split_hi(s))
+    yield from _free_sum("c3", "d1", 0.0, q["b3"], q)
+    yield from _free_sum("c2", "d3", 0.0, q["b3"], q)
 
 
 def _build_1a(P, q):
@@ -178,12 +181,8 @@ def _build_1a(P, q):
 
 def _params_1(P, q):
     lo, hi = (2 * P - 4) / (P + 1), 2 / (P + 1)
-    yield FreeParam("c3_plus_d1", lo, hi)
-    s = q["c3_plus_d1"]
-    yield FreeParam("c3", _split_lo(s), _split_hi(s))
-    yield FreeParam("c2_plus_d3", lo, hi)
-    s = q["c2_plus_d3"]
-    yield FreeParam("c2", _split_lo(s), _split_hi(s))
+    yield from _free_sum("c3", "d1", lo, hi, q)
+    yield from _free_sum("c2", "d3", lo, hi, q)
 
 
 def _build_1(P, q):
@@ -194,23 +193,13 @@ def _build_1(P, q):
 
 def _params_2a(P, q):
     yield FreeParam("a2", 0.0, 0.5)
-    yield FreeParam("c2_plus_d3", 0.5, 0.5 + 0.5 * q["a2"])
-    s = q["c2_plus_d3"]
-    yield FreeParam("c2", _split_lo(s), _split_hi(s))
+    yield from _free_sum("c2", "d3", 0.5, 0.5 + 0.5 * q["a2"], q)
 
 
 def _build_2a(P, q):
     a2 = q["a2"]
     return _freqs(a2=a2, b2=0.5 * a2, b3=0.5, d2=0.5 * (1 + a2), d1=0.5,
                   c2=q["c2"], d3=q["c2_plus_d3"] - q["c2"])
-
-
-def _sum_c2d3_params(hi_fn):
-    def gen(P, q):
-        yield FreeParam("c2_plus_d3", (2 * P - 4) / (P + 1), hi_fn(P))
-        s = q["c2_plus_d3"]
-        yield FreeParam("c2", _split_lo(s), _split_hi(s))
-    return gen
 
 
 def _build_2(P, q):
@@ -229,9 +218,7 @@ def _params_3(P, q):
     a2 = _a2_sol3(P)
     b2 = 2 * a2 / (P + 1)
     b3 = (2 - b2) / (P + a2)
-    yield FreeParam("c2_plus_d3", (2 * P - 4) / (P + 1), b2 + b3)
-    s = q["c2_plus_d3"]
-    yield FreeParam("c2", _split_lo(s), _split_hi(s))
+    return _free_sum("c2", "d3", (2 * P - 4) / (P + 1), b2 + b3, q)
 
 
 def _build_3(P, q):
@@ -252,9 +239,7 @@ def _build_4(P, q):
 
 def _params_5a(P, q):
     yield FreeParam("a2", 0.75, 1.0)
-    yield FreeParam("c2_plus_d3", 2 / 3, (4 / 9) * (1 + q["a2"]))
-    s = q["c2_plus_d3"]
-    yield FreeParam("c2", _split_lo(s), _split_hi(s))
+    yield from _free_sum("c2", "d3", 2 / 3, (4 / 9) * (1 + q["a2"]), q)
 
 
 def _build_5a(P, q):
@@ -300,8 +285,7 @@ def _build_8(P, q):
 
 
 def _params_9(P, q):
-    s = 2 * P / (P + 1)
-    yield FreeParam("c1", _split_lo(s), _split_hi(s))
+    yield _addend("c1", 2 * P / (P + 1))
 
 
 def _build_9(P, q):
@@ -366,7 +350,8 @@ _register("2", 3.0, _P4, {
     "c1": "2P-6", "d2": "(3+6P-2P^2)/(P+1)", "c3": "0",
     "d1": "(2P-4)/(P+1)",
     "c2+d3": "free in [(2P-4)/(P+1), 3/(P+1)]",
-}, _sum_c2d3_params(lambda P: 3 / (P + 1)), _build_2)
+}, lambda P, q: _free_sum("c2", "d3", (2 * P - 4) / (P + 1), 3 / (P + 1), q),
+   _build_2)
 
 _register("3", _P3, _P4, {
     "a1": "0", "b1": "0",
@@ -382,7 +367,8 @@ _register("4", _P3, 3.5, {
     "b3": "4(P-2)/(3(P+1))", "c1": "1", "d2": "0", "c3": "0",
     "d1": "(2P-4)/(P+1)",
     "c2+d3": "free in [(2P-4)/(P+1), (P+7)/(3(P+1))]",
-}, _sum_c2d3_params(lambda P: (P + 7) / (3 * (P + 1))), _build_4)
+}, lambda P, q: _free_sum("c2", "d3", (2 * P - 4) / (P + 1),
+                          (P + 7) / (3 * (P + 1)), q), _build_4)
 
 _register("5a", 3.5, 3.5, {
     "a1": "0", "b1": "0", "a2": "free in [3/4, 1]", "b2": "4 a2/9",
@@ -394,7 +380,8 @@ _register("5", 3.5, 4.0, {
     "a1": "0", "b1": "0", "a2": "1", "b2": "2/(P+1)", "b3": "2/(P+1)",
     "c1": "1", "d2": "(P-3)/(P+1)", "c3": "0", "d1": "(2P-4)/(P+1)",
     "c2+d3": "free in [(2P-4)/(P+1), 4/(P+1)]",
-}, _sum_c2d3_params(lambda P: 4 / (P + 1)), _build_5)
+}, lambda P, q: _free_sum("c2", "d3", (2 * P - 4) / (P + 1), 4 / (P + 1), q),
+   _build_5)
 
 _register("6", _P6, 4.0, {
     "a1": "(4-P)(P+1)", "b1": "2(4-P)", "a2": "1", "b2": "2/(P+1)",
@@ -528,15 +515,16 @@ def profile_rows(sol_id: str, pots) -> np.ndarray:
     outside [0, 1].
     """
     sol = solution(sol_id)
-    P = np.asarray(pots, dtype=float)
-    ok = (np.isfinite(P) & (P >= MIN_POT)
-          & (P >= sol.lo - _TOL) & (P <= sol.hi + _TOL))
-    if not ok.all():
-        _check_in_range(sol, P[~ok][0])  # raises for this pot
+    P = check_pots(pots)
+    inside = sol.contains(P)
+    if not inside.all():
+        _check_in_range(sol, P[~inside][0])  # raises for this pot
     resolved: dict = {}
-    for param in sol.params(P, resolved):
-        resolved[param.name] = param.midpoint
-    freqs = sol.build(P, resolved)
+    # _pow rejects a pot too large for a formula; numpy need not warn first
+    with np.errstate(over="ignore"):
+        for param in sol.params(P, resolved):
+            resolved[param.name] = param.midpoint
+        freqs = sol.build(P, resolved)
     F = np.empty((len(P), len(FREQ_NAMES)))
     for j, name in enumerate(FREQ_NAMES):
         F[:, j] = freqs[name]
@@ -545,6 +533,22 @@ def profile_rows(sol_id: str, pots) -> np.ndarray:
         StrategyProfile(*F[~inside][0].tolist())  # raises its ValueError
     # min(1, max(0, v)) as Python evaluates it, -0.0 included
     return np.where(F < 1.0, np.where(F > 0.0, F, 0.0), 1.0)
+
+
+def rows_at(pots) -> tuple:
+    """Every catalog row at ``pots`` (1-D) as (row pots, row ids, (n, 11)
+    rows), pot by pot in the family order of :func:`solutions_for_pot`,
+    built by one :func:`profile_rows` call per family present."""
+    P = check_pots(pots)
+    mask = np.stack([_CATALOG[sid].contains(P) for sid in SOLUTION_IDS],
+                    axis=1)
+    at, family = np.nonzero(mask)
+    P = P[at]
+    F = np.empty((len(P), len(FREQ_NAMES)))
+    for j in set(family.tolist()):
+        rows = family == j
+        F[rows] = profile_rows(SOLUTION_IDS[j], P[rows])
+    return P, [SOLUTION_IDS[j] for j in family.tolist()], F
 
 
 def equilibrium_profit(sol_id: str, pot: float,

@@ -27,8 +27,6 @@ import math
 import os
 import sys
 
-import numpy as np
-
 from . import analytic_ev, catalog, dynamics, stability, verify
 from .game_model import FREQ_NAMES, StrategyProfile, check_pot
 
@@ -40,8 +38,8 @@ EXIT_NUMERICAL = 3
 #: Most pot values one sweep may tabulate.
 MAX_POTS = 10**6
 
-#: Catalog rows a frequencies/profits/stability sweep evaluates per array
-#: call; blocks keep the arrays small whatever the grid.
+#: Pots a frequencies/profits/stability sweep evaluates per array call;
+#: blocks keep the arrays small whatever the grid.
 SWEEP_BLOCK = 128
 
 _SWEEP_HEADERS = {
@@ -223,51 +221,25 @@ def _pot_grid(lo: float, hi: float, step: float) -> list:
     return grid
 
 
-def _catalog_blocks(grid: list):
-    """The (pot, solution id) rows of a catalog sweep over ``grid``, in
-    order, as lists of at most ``SWEEP_BLOCK`` rows."""
-    block = []
-    for pot in grid:
-        for sid in catalog.solutions_for_pot(pot):
-            block.append((pot, sid))
-            if len(block) == SWEEP_BLOCK:
-                yield block
-                block = []
-    if block:
-        yield block
-
-
-def _block_profiles(block: list) -> tuple:
-    """Frequency rows (m, 11) and pots (m,) of a block of catalog rows,
-    built with one array call per family."""
-    pots = np.array([pot for pot, _ in block])
-    rows_of: dict = {}
-    for i, (_, sid) in enumerate(block):
-        rows_of.setdefault(sid, []).append(i)
-    F = np.empty((len(block), len(FREQ_NAMES)))
-    for sid, rows in rows_of.items():
-        F[rows] = catalog.profile_rows(sid, pots[rows])
-    return F, pots
-
-
-def _sweep_rows_frequencies(block: list) -> list:
-    F, _ = _block_profiles(block)
+def _sweep_rows_frequencies(pots, ids, F) -> list:
     return [f"{_fmt(pot)},{sid},{','.join(map(_fmt, row))}"
-            for (pot, sid), row in zip(block, F.tolist())]
+            for pot, sid, row in zip(pots.tolist(), ids, F.tolist())]
 
 
-def _sweep_rows_profits(block: list) -> list:
-    e = analytic_ev.expected_profit_scaled(*_block_profiles(block))
+def _sweep_rows_profits(pots, ids, F) -> list:
+    e = analytic_ev.expected_profit_scaled(F, pots)
     return [f"{_fmt(pot)},{sid},{_fmt(e1)},{_fmt(e2)},{_fmt(e3)}"
-            for (pot, sid), e1, e2, e3 in zip(block, *(x.tolist() for x in e))]
+            for pot, sid, e1, e2, e3
+            in zip(pots.tolist(), ids, *(x.tolist() for x in e))]
 
 
-def _sweep_rows_stability(block: list) -> list:
-    _, max_re, pairs, zeros = stability.spectra(*_block_profiles(block))
+def _sweep_rows_stability(pots, ids, F) -> list:
+    _, max_re, pairs, zeros = stability.spectra(F, pots)
     return [f"{_fmt(pot)},{sid},{stability.Verdict.of(m).value},"
             f"{_fmt(m)},{n_pairs},{n_zeros}"
-            for (pot, sid), m, n_pairs, n_zeros
-            in zip(block, max_re.tolist(), pairs.tolist(), zeros.tolist())]
+            for pot, sid, m, n_pairs, n_zeros
+            in zip(pots.tolist(), ids, max_re.tolist(), pairs.tolist(),
+                   zeros.tolist())]
 
 
 def _sweep_rows_classification(pot: float, seed: int, t_end: float,
@@ -326,7 +298,8 @@ def cmd_sweep(args) -> int:
             work = {"frequencies": _sweep_rows_frequencies,
                     "profits": _sweep_rows_profits,
                     "stability": _sweep_rows_stability}[args.what]
-            chunks = [work(block) for block in _catalog_blocks(grid)]
+            chunks = [work(*catalog.rows_at(grid[i:i + SWEEP_BLOCK]))
+                      for i in range(0, len(grid), SWEEP_BLOCK)]
     except (dynamics.StepSizeUnderflow, stability.NoConvergence) as exc:
         raise CliError(f"numerical failure during sweep: {exc}",
                        EXIT_NUMERICAL)
@@ -342,7 +315,10 @@ def cmd_sweep(args) -> int:
 
 # -- parser -------------------------------------------------------------------
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """Built once: parsing leaves the parser unchanged, so calls share it."""
+    icfg = dynamics.IntegratorConfig()
     ap = argparse.ArgumentParser(
         prog="kuhn3",
         description="Simplified three-player full-street Kuhn poker: "
@@ -376,10 +352,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--gains", help="JSON file of per-frequency rates")
     p.add_argument("--out", help="output path (default trajectory.<fmt>)")
     p.add_argument("--format", choices=("csv", "json"), default="csv")
-    p.add_argument("--dt", type=float, default=0.5, help="sampling interval")
-    p.add_argument("--rtol", type=float, default=1e-9)
-    p.add_argument("--atol", type=float, default=1e-11)
-    p.add_argument("--f-max", type=float, default=40.0,
+    p.add_argument("--dt", type=float, default=icfg.dt_sample,
+                   help="sampling interval")
+    p.add_argument("--rtol", type=float, default=icfg.rtol)
+    p.add_argument("--atol", type=float, default=icfg.atol)
+    p.add_argument("--f-max", type=float, default=icfg.f_max,
                    help="log-odds clamp")
     p.set_defaults(fn=cmd_simulate)
 
@@ -394,7 +371,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int,
                    help="seed for classification sweeps (default KUHN3_SEED)")
     p.add_argument("--t-end", type=float, default=20000.0)
-    p.add_argument("--dt", type=float, default=0.5)
+    p.add_argument("--dt", type=float, default=icfg.dt_sample)
     p.set_defaults(fn=cmd_sweep)
     return ap
 

@@ -124,6 +124,9 @@ def logistic(F: np.ndarray, f_max: float = 40.0) -> np.ndarray:
 #: step size, and with it the cost of a run, has no floor.
 RTOL_MIN = 100 * np.finfo(float).eps
 
+#: Largest log-odds clamp: exp of a clamped coordinate stays finite.
+F_MAX_LIMIT = math.log(np.finfo(float).max)
+
 
 @dataclass(frozen=True)
 class IntegratorConfig:
@@ -150,6 +153,9 @@ class IntegratorConfig:
             if not getattr(self, name) > 0:
                 raise ValueError(f"{name} must be positive "
                                  f"(got {getattr(self, name):g})")
+        if self.f_max > F_MAX_LIMIT:
+            raise ValueError(f"f_max must be <= {F_MAX_LIMIT:.6g}; beyond "
+                             f"it exp(f_max) overflows (got {self.f_max:g})")
 
 
 @dataclass(frozen=True)
@@ -279,9 +285,11 @@ def _run(initial: StrategyProfile, pot: float, t_end: float, gains,
     y0 = np.empty(14)
     y0[:11] = logit(f0, cfg.f_max) if logit_mode else f0
     y0[11:] = 0.0
-    ys, n_steps, status, t_reached = _stepper.integrate_core(
-        y0, pot, k, n, cfg.dt_sample, cfg.rtol, cfg.atol, cfg.f_max,
-        logit_mode, cfg.h0, cfg.h_min)
+    # a step with a non-finite error norm is rejected; numpy need not warn
+    with np.errstate(all="ignore"):
+        ys, n_steps, status, t_reached = _stepper.integrate_core(
+            y0, pot, k, n, cfg.dt_sample, cfg.rtol, cfg.atol, cfg.f_max,
+            logit_mode, cfg.h0, cfg.h_min)
     if status == _stepper.STATUS_STEP_UNDERFLOW:
         raise StepSizeUnderflow(t_reached)
 

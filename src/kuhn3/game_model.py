@@ -49,6 +49,7 @@ __all__ = [
     "ProfitVector",
     "StrategyProfile",
     "check_pot",
+    "check_pots",
     "enumerate_deals",
     "expected_profit_bruteforce",
     "hand_value",
@@ -98,6 +99,15 @@ def check_pot(pot: float) -> float:
     if not (pot >= MIN_POT and math.isfinite(pot)):
         raise ValueError(f"pot must be >= {MIN_POT:g} and finite, got {pot!r}")
     return pot
+
+
+def check_pots(pots) -> np.ndarray:
+    """An array of pots as floats, each checked by :func:`check_pot`."""
+    P = np.asarray(pots, dtype=float)
+    bad = ~((P >= MIN_POT) & np.isfinite(P))
+    if bad.any():
+        check_pot(P[bad][0])  # raises for this pot
+    return P
 
 
 @dataclass(frozen=True)

@@ -67,6 +67,21 @@ class TestSolutionsForPot:
             assert sid in solutions_for_pot(lo)
             assert sid not in solutions_for_pot(lo + 0.01)
 
+    def test_contains_on_an_array_matches_the_scalar_rule(self):
+        ends = {v for sid in SOLUTION_IDS for v in validity_range(sid)
+                if math.isfinite(v)}
+        pots = np.array([*sorted(v + d for v in ends
+                                 for d in (-1e-8, -1e-10, 0.0, 1e-10, 1e-8)),
+                         1e6, 1e300, math.inf, math.nan])
+        for sid in SOLUTION_IDS:
+            sol = solution(sid)
+            got = sol.contains(pots)
+            assert got.dtype == bool
+            assert got.tolist() == [sol.contains(float(p)) for p in pots], sid
+            assert sol.contains(sol.lo - 1e-10)
+            assert not sol.contains(sol.lo - 1e-8)
+        assert solution("10").contains(pots[-4:-1]).all()  # hi = inf
+
     def test_every_pot_from_two_is_covered(self):
         for pot in np.arange(2.0, 9.0, 0.01):
             assert solutions_for_pot(float(pot))

@@ -6,15 +6,18 @@ import multiprocessing
 import os
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
+from conftest import bits
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from kuhn3 import _stepper, cli
 from kuhn3.analytic_ev import expected_profit_scaled
-from kuhn3.catalog import critical_pots, instantiate, solutions_for_pot
+from kuhn3.catalog import (critical_pots, instantiate, rows_at,
+                           solutions_for_pot)
 from kuhn3.cli import main
 from kuhn3.dynamics import TRAJECTORY_CSV_HEADER, IntegratorConfig
 from kuhn3.game_model import FREQ_NAMES, StrategyProfile
@@ -369,9 +372,18 @@ class TestBlockSweep:
 
         monkeypatch.setattr(cli, "_pot_grid", with_special)
         grid = with_special(2.0, 8.0, 0.01)
-        n_rows = sum(len(solutions_for_pot(p)) for p in grid)
-        assert n_rows > cli.SWEEP_BLOCK and n_rows % cli.SWEEP_BLOCK
+        # several blocks of pots, the last one short
+        assert len(grid) > cli.SWEEP_BLOCK and len(grid) % cli.SWEEP_BLOCK
         return grid
+
+    def test_rows_at_lists_every_row_in_order(self, grid):
+        pots, ids, F = rows_at(grid)
+        want = [(pot, sid) for pot in grid for sid in solutions_for_pot(pot)]
+        assert list(zip(pots.tolist(), ids)) == want
+        ref = np.array([instantiate(sid, pot).as_tuple() for pot, sid in want])
+        assert (bits(F) == bits(ref)).all()
+        with pytest.raises(ValueError, match="pot must be"):
+            rows_at([3.0, 1.5])
 
     @pytest.mark.parametrize("what", ["frequencies", "profits", "stability"])
     def test_matches_row_by_row(self, capsys, tmp_path, grid, what):
@@ -406,16 +418,10 @@ class TestBlockSweep:
 
 @pytest.mark.slow
 class TestRegimePattern:
-    #: expected classification per pot, alternating with the coexistence
-    #: structure: periodic / chaotic / close / periodic / chaotic / close
-    CASES = [
-        (2.5, 2000, "Periodic"),
-        (3.1, 20000, "ChaoticTransientToBoundary"),
-        (3.35, 8000, "CloseToPeriodic"),
-        (3.75, 8000, "Periodic"),
-        (4.15, 20000, "ChaoticTransientToBoundary"),
-        (4.65, 20000, "CloseToPeriodic"),
-    ]
+    #: one orbit through the CLI; its defaults are ``IntegratorConfig``'s,
+    #: so criterion 7 of test_acceptance integrates and classifies the
+    #: same orbits at all six pots
+    CASES = [(2.5, 2000, "Periodic")]
 
     @pytest.mark.parametrize("pot,t_end,label", CASES)
     def test_six_pot_pattern(self, capsys, tmp_path, pot, t_end, label):
@@ -430,6 +436,64 @@ class TestRegimePattern:
         with pytest.raises(SystemExit) as exc:
             main(["sweep", "--pot-min", "2"])
         assert exc.value.code == 2
+
+
+def test_consecutive_calls_get_only_their_own_arguments(tmp_path,
+                                                         monkeypatch):
+    parser = cli.build_parser()
+    parse, seen = parser.parse_args, []
+
+    def spy(argv):
+        args = parse(argv)
+        seen.append(vars(args).copy())
+        return args
+
+    monkeypatch.setattr(parser, "parse_args", spy)
+    out = str(tmp_path / "out")
+    icfg = IntegratorConfig()
+    simulate = {"command": "simulate", "fn": cli.cmd_simulate, "pot": 2.5,
+                "init": None, "seed": 1, "t_end": 1.0, "gains": None,
+                "out": out, "format": "csv", "dt": icfg.dt_sample,
+                "rtol": icfg.rtol, "atol": icfg.atol, "f_max": icfg.f_max}
+    calls = [
+        (["simulate", "--pot", "2.5", "--seed", "3", "--t-end", "1",
+          "--format", "json", "--dt", "0.25", "--rtol", "1e-6",
+          "--atol", "1e-8", "--f-max", "20", "--out", out],
+         {**simulate, "seed": 3, "format": "json", "dt": 0.25,
+          "rtol": 1e-6, "atol": 1e-8, "f_max": 20.0}),
+        (["sweep", "--pot-min", "2", "--pot-max", "3", "--step", "0.5",
+          "--what", "profits", "--seed", "4", "--out", out],
+         {"command": "sweep", "fn": cli.cmd_sweep, "pot_min": 2.0,
+          "pot_max": 3.0, "step": 0.5, "what": "profits", "out": out,
+          "seed": 4, "t_end": 20000.0, "dt": icfg.dt_sample}),
+        (["equilibria", "--pot", "3", "--all-ranges"],
+         {"command": "equilibria", "fn": cli.cmd_equilibria, "pot": 3.0,
+          "all_ranges": True, "format": "text"}),
+        (["equilibria", "--pot", "4"],
+         {"command": "equilibria", "fn": cli.cmd_equilibria, "pot": 4.0,
+          "all_ranges": False, "format": "text"}),
+        (["simulate", "--pot", "2.5", "--seed", "1", "--t-end", "1",
+          "--out", out], simulate),
+    ]
+    for argv, _ in calls:
+        assert _run_quietly(argv) == (0, "")
+    assert seen == [want for _, want in calls]
+
+
+@pytest.mark.parametrize("argv,code,error", [
+    (["simulate", "--pot", "1e300", "--seed", "0", "--t-end", "1", "--dt",
+      "1", "--rtol", "1e-12", "--atol", "0", "--f-max", "5e-324"],
+     3, "error: integration failed: step size underflow at t=0"),
+    (["sweep", "--pot-min", "2", "--pot-max", "1.7976931348623157e308",
+      "--step", "1e308", "--what", "frequencies"],
+     2, "error: pot too large: 1e+308**2 overflows"),
+], ids=["simulate-error-norm-nan", "sweep-family-10-overflow"])
+def test_failures_print_only_their_error_line(argv, code, error):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got, err = _run_quietly([*argv, "--out", os.devnull])
+    assert got == code
+    assert err.startswith(error) and err.count("\n") == 1, err
 
 
 def _run_quietly(argv: list) -> tuple:

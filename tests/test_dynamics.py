@@ -3,6 +3,7 @@ import math
 import pickle
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -12,6 +13,7 @@ from hypothesis import strategies as st
 from kuhn3.analytic_ev import expected_profit
 from kuhn3.catalog import instantiate
 from kuhn3.dynamics import (
+    F_MAX_LIMIT,
     FreqLimit,
     InsufficientData,
     IntegratorConfig,
@@ -128,14 +130,14 @@ class TestVectorField:
             assert np.abs(out[:11] - want).max() < 1e-12
 
     @pytest.mark.parametrize("logit_mode,f_max",
-                             [(True, 8.0), (True, 1000.0), (False, 8.0)])
+                             [(True, 8.0), (True, F_MAX_LIMIT), (False, 8.0)])
     def test_stepper_rhs_reads_only_the_clamped_state(self, rng, logit_mode,
                                                       f_max):
         # the stepper reuses the last stage of an accepted step as the
         # first stage of the next, although the state is clipped in
         # between; that is exact only while the right-hand side sees the
         # adjustment coordinates through its own clamp and ignores profits.
-        # f_max = 1000 takes exp beyond its range at the lower clamp.
+        # At f_max = F_MAX_LIMIT the lower clamp takes exp to its range end.
         from kuhn3._stepper import _rhs
 
         lo, hi = (-f_max, f_max) if logit_mode else (0.0, 1.0)
@@ -150,9 +152,8 @@ class TestVectorField:
             clipped[11:] = rng.normal(0.0, 1e3, 3)
             assert (clipped[:11] != y[:11]).any()
             a, b = np.empty(14), np.empty(14)
-            with np.errstate(over="ignore"):
-                _rhs(y, 4.65, k, f_max, logit_mode, a)
-                _rhs(clipped, 4.65, k, f_max, logit_mode, b)
+            _rhs(y, 4.65, k, f_max, logit_mode, a)
+            _rhs(clipped, 4.65, k, f_max, logit_mode, b)
             assert np.isfinite(a).all()
             assert a.tobytes() == b.tobytes()
 
@@ -283,15 +284,47 @@ class TestIntegrate:
                               text=True, timeout=60)
         assert proc.returncode == 0, proc.stderr
 
+    def test_subnormal_step_ends_in_underflow(self, subprocess_env):
+        # subnormal atol, f_max and h0 made the step stall near 1e-321,
+        # above this h_min, and the run never end; the child process turns
+        # a regression into a timeout instead of a hung suite
+        code = (
+            "from kuhn3 import dynamics as d\n"
+            "cfg = d.IntegratorConfig(atol=5e-324, f_max=5e-324, h0=5e-324,\n"
+            "                         h_min=5e-324, dt_sample=0.05)\n"
+            "p0 = d.random_initial_profile(1)\n"
+            "try:\n"
+            "    d.integrate(p0, 2.5, 0.5, config=cfg)\n"
+            "except d.StepSizeUnderflow:\n"
+            "    pass\n"
+            "else:\n"
+            "    raise AssertionError('no underflow')\n"
+        )
+        proc = subprocess.run([sys.executable, "-c", code],
+                              env=subprocess_env, capture_output=True,
+                              text=True, timeout=60)
+        assert proc.returncode == 0, proc.stderr
+
     @pytest.mark.parametrize("settings", [
         {"rtol": float("nan")}, {"rtol": -1e-9}, {"atol": float("inf")},
         {"rtol": 0.0, "atol": 0.0}, {"dt_sample": 0.0}, {"f_max": 0.0},
         {"h0": -1e-3}, {"h_min": 0.0}, {"rtol": 0.0},
-        {"rtol": RTOL_MIN / 2, "atol": 1e-22},
+        {"rtol": RTOL_MIN / 2, "atol": 1e-22}, {"f_max": 1000.0},
+        {"f_max": math.nextafter(F_MAX_LIMIT, math.inf)},
     ])
     def test_config_rejects_bad_settings(self, settings):
         with pytest.raises(ValueError):
             IntegratorConfig(**settings)
+
+    def test_clamp_at_its_limit(self):
+        # beyond F_MAX_LIMIT exp overflows at the lower clamp; at it a run
+        # stays finite and warns of nothing
+        cfg = IntegratorConfig(f_max=F_MAX_LIMIT)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            traj = integrate(random_initial_profile(1), 2.5, 10.0, config=cfg)
+        assert np.isfinite(traj.logits).all()
+        assert np.isfinite(traj.profits).all()
 
     def test_sampling_interval_longer_than_the_run_is_rejected(self):
         p0 = random_initial_profile(1)
