@@ -8,9 +8,16 @@ clamped to +/- f_max after every accepted step (direct coordinates to
 [0, 1]).
 
 The right-hand side evaluates the one transcription of the profit
-polynomials in :mod:`kuhn3.analytic_ev`; the stage sums are numpy row
-operations on the (7, 14) stage array, with h folded into the tableau once
-per attempted step.
+polynomials in :mod:`kuhn3.analytic_ev`.  It is generated at import:
+``_partials`` and ``_profits`` run once on recording values (:class:`_Rec`),
+and their arithmetic becomes the body of ``_rhs``, one local statement per
+float operation, with no calls, loops or tuples between the clamp of the
+coordinates and the write of the rates.  It performs the same IEEE
+operations in the same order as the transcription run on floats, so it
+gives the same bits, without the interpreter's cost of the calls.
+``inspect.getsource(_rhs)`` shows the generated code.  The stage sums are
+numpy row operations on the (7, 14) stage array, with h folded into the
+tableau once per attempted step.
 
 The pair is First-Same-As-Last: the seventh stage is evaluated at the new
 solution, so an accepted step hands it on as the next step's first stage,
@@ -23,12 +30,15 @@ the same bits before and after the clip.
 
 from __future__ import annotations
 
+import linecache
 import math
+import struct
 import sys
 
 import numpy as np
 
 from .analytic_ev import _partials, _profits
+from .game_model import FREQ_NAMES
 
 STATUS_OK = 0
 STATUS_STEP_UNDERFLOW = 1
@@ -53,21 +63,117 @@ _EC = _B5 - _B4
 _T = np.vstack([_A, _EC])
 
 
-def _rhs(y, pot, k, f_max, logit, out):
-    v = y[:11].tolist()
-    if logit:
-        fl = [1.0 / (1.0 + math.exp(f_max if x <= -f_max else
-                                    -f_max if x >= f_max else -x))
-              for x in v]
-        g = _partials(fl, pot)
-        row = [ki * gi for ki, gi in zip(k, g)]
-    else:
-        fl = [0.0 if x <= 0.0 else 1.0 if x >= 1.0 else x for x in v]
-        g = _partials(fl, pot)
-        row = [ki * fi * (1 - fi) * gi for ki, fi, gi in zip(k, fl, g)]
-    # profit accumulation dp_i/dt = E_i
-    row += [e / 24.0 for e in _profits(fl, pot, g)]
-    out[:] = row
+class _Rec:
+    """A float local of the generated right-hand side.
+
+    The recording duck type of the profit transcription, beside floats,
+    arrays and sympy symbols.  Each ``+``, ``-`` or ``*`` with another
+    recorded value or an int or float constant adds one statement
+    ``tN = a op b`` to the recording ``ops`` (a dict from ``(a, op, b)``
+    to its result), in Python's evaluation order, and returns ``tN``.  An
+    operation already recorded on the same operands returns the earlier
+    result: it is the same IEEE operation on the same values, so it gives
+    the same bits.  Every other operation raises ``TypeError``.
+    """
+
+    __slots__ = ("name", "_ops")
+    # numpy scalars and arrays defer to the operators below, which refuse them
+    __array_ufunc__ = None
+
+    def __init__(self, name: str, ops: dict):
+        self.name = name
+        self._ops = ops
+
+    def _emit(self, a, op, b):
+        key = (_operand(a), op, _operand(b))
+        if None in key:
+            return NotImplemented
+        rec = self._ops.get(key)
+        if rec is None:
+            rec = self._ops[key] = _Rec(f"t{len(self._ops)}", self._ops)
+        return rec
+
+    def __add__(self, other):
+        return self._emit(self, "+", other)
+
+    def __radd__(self, other):
+        return self._emit(other, "+", self)
+
+    def __sub__(self, other):
+        return self._emit(self, "-", other)
+
+    def __rsub__(self, other):
+        return self._emit(other, "-", self)
+
+    def __mul__(self, other):
+        return self._emit(self, "*", other)
+
+    def __rmul__(self, other):
+        return self._emit(other, "*", self)
+
+    def _unsupported(self, *_):
+        raise TypeError("the recorded right-hand side is straight-line "
+                        "+, - and * only")
+
+    # a truth value or an equality would branch or drop the arithmetic
+    __bool__ = __eq__ = __ne__ = _unsupported
+
+
+def _operand(v):
+    if isinstance(v, _Rec):
+        return v.name
+    return repr(v) if type(v) in (int, float) else None
+
+
+def _build_rhs():
+    """Generate ``_rhs(y, pot, k, f_max, logit, out)`` from the profit
+    transcription: :func:`_partials` and :func:`_profits` run once on
+    :class:`_Rec` values, and their recorded operations become one
+    straight-line function body between the clamp of each coordinate and
+    one write of the fourteen rates into ``out``."""
+    ops: dict = {}
+    f = [_Rec(n, ops) for n in FREQ_NAMES]
+    pot = _Rec("pot", ops)
+    g = _partials(f, pot)
+    e = _profits(f, pot, g)
+    ys = [f"y_{n}" for n in FREQ_NAMES]
+    ks = [f"k_{n}" for n in FREQ_NAMES]
+    rates = [e_i.name + " / 24.0" for e_i in e]
+    lines = [
+        "def _rhs(y, pot, k, f_max, logit, out):",
+        f"    {', '.join(ys + ['_'] * (_NSTATE - len(ys)))} = y.tolist()",
+        f"    {', '.join(ks)} = k",
+        "    if logit:",
+        "        lo = -f_max",
+        *(f"        {n} = 1.0 / (1.0 + exp(f_max if {x} <= lo else "
+          f"lo if {x} >= f_max else -{x}))" for n, x in zip(FREQ_NAMES, ys)),
+        "    else:",
+        *(f"        {n} = 0.0 if {x} <= 0.0 else 1.0 if {x} >= 1.0 else {x}"
+          for n, x in zip(FREQ_NAMES, ys)),
+        *(f"    {r.name} = {a} {op} {b}" for (a, op, b), r in ops.items()),
+        "    if logit:",
+        "        pack(out, 0, {})".format(", ".join(
+            [f"{k_i} * {g_i.name}" for k_i, g_i in zip(ks, g)] + rates)),
+        "    else:",
+        "        pack(out, 0, {})".format(", ".join(
+            [f"{k_i} * {n} * (1 - {n}) * {g_i.name}"
+             for k_i, n, g_i in zip(ks, FREQ_NAMES, g)] + rates)),
+    ]
+    source = "\n".join(lines) + "\n"
+    filename = f"<generated {__name__}._rhs>"
+    # tracebacks and inspect.getsource show the generated lines
+    linecache.cache[filename] = (len(source), None,
+                                 source.splitlines(True), filename)
+    # the rates go straight into the bytes of out, a C-contiguous float64
+    # row such as a row of the stage array: the same doubles as out[:] = a
+    # list, without numpy converting one
+    namespace = {"__name__": __name__, "exp": math.exp,
+                 "pack": struct.Struct(f"{_NSTATE}d").pack_into}
+    exec(compile(source, filename, "exec"), namespace)
+    return namespace["_rhs"]
+
+
+_rhs = _build_rhs()
 
 
 def integrate_core(y0, pot, k, n_samples, dt_sample, rtol, atol, f_max,

@@ -70,8 +70,9 @@ def _partials(f, P) -> tuple:
     """Scaled partials 24 * dE_owner/df in canonical frequency order.
 
     Duck-typed: ``f`` unpacks into the eleven frequencies and ``P`` is the
-    pot, as Python floats, numpy arrays (batched evaluation) or sympy
-    symbols.
+    pot, as Python floats, numpy arrays (batched evaluation), sympy
+    symbols, or the recording values from which :mod:`kuhn3._stepper`
+    generates its right-hand side (so only ``+``, ``-`` and ``*``).
     """
     a1, b1, c1, d1, a2, b2, c2, d2, b3, c3, d3 = f
     return (

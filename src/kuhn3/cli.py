@@ -149,10 +149,10 @@ def cmd_verify(args) -> int:
 def _nearest_solution(pot: float, rate24: tuple):
     """Catalog solution valid at ``pot`` whose scaled profits are closest
     (in max-abs difference) to the observed scaled profit rates."""
+    pots, ids, F = catalog.rows_at([pot])
+    E = analytic_ev.expected_profit_scaled(F, pots)
     best = None
-    for sid in catalog.solutions_for_pot(pot):
-        e = analytic_ev.expected_profit_scaled(catalog.instantiate(sid, pot),
-                                               pot)
+    for sid, *e in zip(ids, *(x.tolist() for x in E)):
         dist = max(abs(a - b) for a, b in zip(e, rate24))
         if best is None or dist < best[1]:
             best = (sid, dist, e)

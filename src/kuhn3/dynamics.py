@@ -106,20 +106,6 @@ def gains_array(gains: Mapping | Sequence | None) -> np.ndarray:
     return k
 
 
-def logit(f: np.ndarray, f_max: float = 40.0) -> np.ndarray:
-    """Log-odds of frequencies, clamped to +/- f_max."""
-    f = np.asarray(f, dtype=float)
-    with np.errstate(divide="ignore"):
-        F = np.log(f) - np.log1p(-f)
-    return np.clip(F, -f_max, f_max)
-
-
-def logistic(F: np.ndarray, f_max: float = 40.0) -> np.ndarray:
-    """Frequencies from log-odds (inverse of :func:`logit`)."""
-    F = np.clip(np.asarray(F, dtype=float), -f_max, f_max)
-    return 1.0 / (1.0 + np.exp(-F))
-
-
 #: Smallest relative tolerance (as in scipy's ``solve_ivp``): below it the
 #: step size, and with it the cost of a run, has no floor.
 RTOL_MIN = 100 * np.finfo(float).eps
@@ -156,6 +142,22 @@ class IntegratorConfig:
         if self.f_max > F_MAX_LIMIT:
             raise ValueError(f"f_max must be <= {F_MAX_LIMIT:.6g}; beyond "
                              f"it exp(f_max) overflows (got {self.f_max:g})")
+
+
+def logit(f: np.ndarray,
+          f_max: float = IntegratorConfig.f_max) -> np.ndarray:
+    """Log-odds of frequencies, clamped to +/- f_max."""
+    f = np.asarray(f, dtype=float)
+    with np.errstate(divide="ignore"):
+        F = np.log(f) - np.log1p(-f)
+    return np.clip(F, -f_max, f_max)
+
+
+def logistic(F: np.ndarray,
+             f_max: float = IntegratorConfig.f_max) -> np.ndarray:
+    """Frequencies from log-odds (inverse of :func:`logit`)."""
+    F = np.clip(np.asarray(F, dtype=float), -f_max, f_max)
+    return 1.0 / (1.0 + np.exp(-F))
 
 
 @dataclass(frozen=True)
@@ -195,12 +197,16 @@ class Trajectory:
     def profile_at(self, i: int) -> StrategyProfile:
         return StrategyProfile(*self.freqs[i])
 
+    def _table(self) -> np.ndarray:
+        """One row per sample: t, the frequencies, the profits."""
+        return np.column_stack((self.times, self.freqs, self.profits))
+
     def to_csv(self, path) -> None:
         with open(path, "w", newline="") as fh:
             fh.write(TRAJECTORY_CSV_HEADER + "\n")
-            for i in range(self.n_samples):
-                row = [self.times[i], *self.freqs[i], *self.profits[i]]
-                fh.write(",".join(repr(float(v)) for v in row) + "\n")
+            # row by row: the Python floats of one row exist at a time
+            for row in self._table():
+                fh.write(",".join(map(repr, row.tolist())) + "\n")
 
     def to_json(self, path, classification: "DynamicsClassification | None" = None) -> None:
         meta = {
@@ -223,11 +229,7 @@ class Trajectory:
         doc = {
             "meta": meta,
             "columns": TRAJECTORY_CSV_HEADER.split(","),
-            "rows": [
-                [float(v) for v in (self.times[i], *self.freqs[i],
-                                    *self.profits[i])]
-                for i in range(self.n_samples)
-            ],
+            "rows": self._table().tolist(),
         }
         with open(path, "w") as fh:
             json.dump(doc, fh)

@@ -10,14 +10,14 @@ import warnings
 
 import numpy as np
 import pytest
-from conftest import bits
+from conftest import POT_SAMPLE, bits
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from kuhn3 import _stepper, cli
 from kuhn3.analytic_ev import expected_profit_scaled
-from kuhn3.catalog import (critical_pots, instantiate, rows_at,
-                           solutions_for_pot)
+from kuhn3.catalog import (SOLUTION_IDS, critical_pots, instantiate,
+                           rows_at, solutions_for_pot, validity_range)
 from kuhn3.cli import main
 from kuhn3.dynamics import TRAJECTORY_CSV_HEADER, IntegratorConfig
 from kuhn3.game_model import FREQ_NAMES, StrategyProfile
@@ -125,6 +125,32 @@ class TestSimulate:
         lines = out.read_text().splitlines()
         assert lines[0] == TRAJECTORY_CSV_HEADER
         assert len(lines) == 4002
+
+    def test_nearest_solution_matches_the_per_family_scan(self):
+        # the families at one pot come from one catalog block; the pick,
+        # its distance and its profits must be those of a scan over
+        # solutions_for_pot, ties going to the first family
+        def per_family(pot, rate24):
+            best = None
+            for sid in solutions_for_pot(pot):
+                e = expected_profit_scaled(instantiate(sid, pot), pot)
+                dist = max(abs(a - b) for a, b in zip(e, rate24))
+                if best is None or dist < best[1]:
+                    best = (sid, dist, e)
+            return best
+
+        rng = np.random.default_rng(5)
+        ends = {end for sid in SOLUTION_IDS for end in validity_range(sid)}
+        pots = sorted({*POT_SAMPLE, *ends} - {math.inf})
+        assert 3.5 in pots  # family 5a is a point
+        for pot in pots:
+            profits = [expected_profit_scaled(instantiate(sid, pot), pot)
+                       for sid in solutions_for_pot(pot)]
+            for rate24 in [*profits, tuple(rng.normal(0.0, 2.0, 3))]:
+                sid, dist, e = cli._nearest_solution(pot, rate24)
+                want = per_family(pot, rate24)
+                assert (sid, dist, tuple(e)) == (want[0], want[1],
+                                                 tuple(want[2]))
 
     def test_byte_identical_reruns(self, capsys, tmp_path):
         a = tmp_path / "a.csv"

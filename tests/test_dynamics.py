@@ -10,7 +10,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from kuhn3.analytic_ev import expected_profit
+from kuhn3.analytic_ev import _partials, _profits, expected_profit
 from kuhn3.catalog import instantiate
 from kuhn3.dynamics import (
     F_MAX_LIMIT,
@@ -48,6 +48,14 @@ class TestLogitChart:
     def test_clamping(self):
         assert logit(np.array([1e-30]))[0] == -40.0
         assert logit(np.array([1.0]))[0] == 40.0
+
+    def test_clamp_default_is_the_integrators(self):
+        f_max = IntegratorConfig().f_max
+        assert logit(np.array([0.0, 1.0])).tolist() == [-f_max, f_max]
+        assert (logistic(np.array([-1e3, 1e3])).tolist()
+                == logistic(np.array([-f_max, f_max]), f_max).tolist())
+        assert logistic(np.array([-1e3]), 2 * f_max)[0] < logistic(
+            np.array([-1e3]))[0]
 
 
 class TestGains:
@@ -156,6 +164,121 @@ class TestVectorField:
             _rhs(clipped, 4.65, k, f_max, logit_mode, b)
             assert np.isfinite(a).all()
             assert a.tobytes() == b.tobytes()
+
+
+def reference_rhs(y, pot, k, f_max, logit, out, partials=None):
+    """The right-hand side as written out before it was generated: the
+    reference the generated ``_stepper._rhs`` must equal bit for bit."""
+    partials = partials or _partials
+    v = y[:11].tolist()
+    if logit:
+        fl = [1.0 / (1.0 + math.exp(f_max if x <= -f_max else
+                                    -f_max if x >= f_max else -x))
+              for x in v]
+        g = partials(fl, pot)
+        row = [ki * gi for ki, gi in zip(k, g)]
+    else:
+        fl = [0.0 if x <= 0.0 else 1.0 if x >= 1.0 else x for x in v]
+        g = partials(fl, pot)
+        row = [ki * fi * (1 - fi) * gi for ki, fi, gi in zip(k, fl, g)]
+    # profit accumulation dp_i/dt = E_i
+    row += [e / 24.0 for e in _profits(fl, pot, g)]
+    out[:] = row
+
+
+def rhs_states(rng, logit_mode: bool, f_max: float):
+    """(y, pot, k) cases: seeded states, coordinates at and beyond the
+    clamp, NaN, and unit and non-unit gains as a list and as an array."""
+    lo, hi = (-f_max, f_max) if logit_mode else (0.0, 1.0)
+    edges = [lo, hi, math.nextafter(lo, -math.inf),
+             math.nextafter(hi, math.inf), 2 * lo - 1, 2 * hi + 1, -0.0,
+             math.nan]
+    for i in range(600):
+        y = np.empty(14)
+        y[:11] = (rng.normal(0.0, f_max / 2, 11) if logit_mode
+                  else rng.uniform(-0.5, 1.5, 11))
+        y[11:] = rng.normal(0.0, 1e3, 3)
+        if i % 3 == 0:
+            where = rng.random(11) < 0.4
+            y[:11][where] = rng.choice(edges, where.sum())
+        k = rng.uniform(0.2, 3.0, 11) if i % 4 else np.ones(11)
+        yield y, float(rng.uniform(2.0, 8.0)), k.tolist() if i % 2 else k
+
+
+class TestGeneratedRhs:
+    """``_stepper._rhs`` is generated from ``_partials`` and ``_profits``
+    at import; it must give the bits of the written-out right-hand side."""
+
+    @pytest.mark.parametrize("logit_mode,f_max",
+                             [(True, 40.0), (True, 2.0), (True, F_MAX_LIMIT),
+                              (False, 40.0)])
+    def test_bit_equal_to_the_reference(self, rng, logit_mode, f_max):
+        from kuhn3._stepper import _rhs
+
+        for y, pot, k in rhs_states(rng, logit_mode, f_max):
+            a, b = np.empty(14), np.empty(14)
+            reference_rhs(y, pot, k, f_max, logit_mode, a)
+            _rhs(y, pot, k, f_max, logit_mode, b)
+            assert a.tobytes() == b.tobytes()
+
+    @pytest.mark.parametrize("logit_mode", [True, False])
+    def test_orbit_bytes_equal_the_reference_orbit(self, monkeypatch,
+                                                   logit_mode):
+        from kuhn3 import _stepper
+
+        cfg = IntegratorConfig()
+        f0 = np.array(random_initial_profile(54).as_tuple())
+        y0 = np.zeros(14)
+        y0[:11] = logit(f0, cfg.f_max) if logit_mode else f0
+        args = (y0, 3.1, np.ones(11), 100, cfg.dt_sample, cfg.rtol, cfg.atol,
+                cfg.f_max, logit_mode, cfg.h0, cfg.h_min)
+        got = _stepper.integrate_core(*args)
+        monkeypatch.setattr(_stepper, "_rhs", reference_rhs)
+        want = _stepper.integrate_core(*args)
+        assert got[0].tobytes() == want[0].tobytes()
+        assert got[1:] == want[1:]
+        assert got[2] == _stepper.STATUS_OK
+
+    def test_built_from_the_transcription(self, rng, monkeypatch):
+        from kuhn3 import _stepper
+
+        def partials(f, P):
+            g = _partials(f, P)
+            return (g[0] + 3 * f[5], *g[1:])
+
+        monkeypatch.setattr(_stepper, "_partials", partials)
+        rhs = _stepper._build_rhs()
+        changed = 0
+        for logit_mode, f_max in ((True, 40.0), (False, 40.0)):
+            for y, pot, k in rhs_states(rng, logit_mode, f_max):
+                a, b, c = np.empty(14), np.empty(14), np.empty(14)
+                reference_rhs(y, pot, k, f_max, logit_mode, a, partials)
+                rhs(y, pot, k, f_max, logit_mode, b)
+                _stepper._rhs(y, pot, k, f_max, logit_mode, c)
+                assert a.tobytes() == b.tobytes()
+                changed += b.tobytes() != c.tobytes()
+        assert changed > 0
+
+    def test_recording_refuses_other_operations(self):
+        from kuhn3._stepper import _Rec
+
+        x = _Rec("x", {})
+        for op in (lambda: -x, lambda: x / 2, lambda: 2 / x, lambda: x ** 2,
+                   lambda: abs(x), lambda: float(x), lambda: bool(x),
+                   lambda: x == 1.0, lambda: x < 1.0, lambda: x + "1",
+                   lambda: x * np.float64(2.0), lambda: np.ones(2) * x,
+                   lambda: x + True):
+            with pytest.raises(TypeError):
+                op()
+
+    def test_recording_reuses_an_operation(self):
+        from kuhn3._stepper import _Rec
+
+        ops = {}
+        x, y = _Rec("x", ops), _Rec("y", ops)
+        a, b = 2 * x - y, 2 * x - y
+        assert a is b and list(ops) == [("2", "*", "x"), ("t0", "-", "y")]
+        assert (x * 2) is not (2 * x) and (2.0 * x) is not (2 * x)
 
 
 #: setting values a user might mistype, beside plain ones
@@ -600,6 +723,30 @@ class TestTrajectoryExport:
         assert row[0] == traj.times[-1]
         assert row[1:12] == [float(v) for v in traj.freqs[-1]]
         assert row[12:] == [float(v) for v in traj.profits[-1]]
+
+    def test_writers_match_the_per_element_writer(self, tmp_path):
+        # the rows come from one array-to-list conversion; each value must
+        # print as repr(float(v)) of its numpy element did
+        from kuhn3.dynamics import Trajectory
+
+        n = 6
+        values = np.array([-0.0, 5e-324, 0.1, 1.0, 1e-310, 2.5])
+        traj = Trajectory(
+            times=np.arange(n) * 0.1, logits=np.zeros((n, 11)),
+            freqs=np.resize(values, (n, 11)),
+            profits=np.resize(-values[::-1], (n, 3)), pot=3.0,
+            gains=np.ones(11), config=IntegratorConfig())
+        rows = [[float(v) for v in (traj.times[i], *traj.freqs[i],
+                                    *traj.profits[i])]
+                for i in range(n)]
+        csv = "".join(",".join(repr(v) for v in row) + "\n" for row in rows)
+        traj.to_csv(tmp_path / "t.csv")
+        assert (tmp_path / "t.csv").read_text() == (
+            TRAJECTORY_CSV_HEADER + "\n" + csv)
+        traj.to_json(tmp_path / "t.json")
+        text = (tmp_path / "t.json").read_text()
+        assert f'"rows": {json.dumps(rows)}' in text
+        assert "-0.0" in csv and "5e-324" in csv and "0.1," in csv
 
     def test_json_export_with_metadata(self, tmp_path):
         traj = integrate(random_initial_profile(1), 2.5, 300.0, seed=1)
