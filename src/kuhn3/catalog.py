@@ -13,12 +13,13 @@ best-response check of :mod:`kuhn3.verify`; the test suite sweeps every
 family over a fine pot grid with the free parameters at both interval
 endpoints and at the midpoint.
 
-The ``_params_*`` and ``_build_*`` functions are duck-typed: the pot P
-may be a float or a 1-D array of pots.  :func:`instantiate` calls them
-with one float; :func:`profile_rows` calls them once with an array and
-yields the same rows bit for bit, because numpy and Python round
-+ - * / and square roots alike, and the few integer powers go through
-Python's ``**`` pot by pot.
+Each family is one function, ``_family_X(P, free)``: it returns the
+frequency dict and draws every free parameter from ``free`` (a
+:class:`_Free`), whose caller sets the values.  :func:`instantiate` checks
+supplied values and :func:`free_parameters` lists the intervals.
+:func:`profile_rows` runs a family once on an array of pots, bit for bit
+like :func:`instantiate`, and :attr:`EquilibriumSolution.formulas` runs it
+on printing values (:class:`_Expr`) to state it as text.
 
 Three pot ranges admit three coexisting interval families:
 (P3, P4), (P6, 4) and (P8, P9), with the critical pots
@@ -43,22 +44,10 @@ from .game_model import (FREQ_NAMES, FREQ_TOL, ProfitVector,
                          StrategyProfile, check_pot, check_pots)
 
 __all__ = [
-    "CriticalPots",
-    "EquilibriumSolution",
-    "FreeParam",
-    "FreeParamViolation",
-    "PotOutOfRange",
-    "SOLUTION_IDS",
-    "catalog_json",
-    "critical_pots",
-    "equilibrium_profit",
-    "free_parameters",
-    "instantiate",
-    "profile_rows",
-    "rows_at",
-    "solution",
-    "solutions_for_pot",
-    "validity_range",
+    "CriticalPots", "EquilibriumSolution", "FreeParam", "FreeParamViolation",
+    "PotOutOfRange", "SOLUTION_IDS", "catalog_json", "critical_pots",
+    "equilibrium_profit", "free_parameters", "instantiate", "profile_rows",
+    "rows_at", "solution", "solutions_for_pot", "validity_range",
 ]
 
 _TOL = 1e-9
@@ -70,6 +59,10 @@ class PotOutOfRange(ValueError):
 
 class FreeParamViolation(ValueError):
     """Free parameter missing, unknown, or outside its admissible interval."""
+
+
+class _PotTooLarge(ValueError):
+    """A frequency's integer power of the pot overflows."""
 
 
 class CriticalPots(NamedTuple):
@@ -107,159 +100,143 @@ class FreeParam(NamedTuple):
 
 @dataclass(frozen=True)
 class EquilibriumSolution:
-    """A catalog entry: validity range, closed-form frequency expressions,
-    and the family's free parameters.
+    """A catalog entry: validity range and family function.
 
-    ``params`` produces the free parameters in resolution order; bounds of
-    a later parameter may depend on the values chosen for earlier ones.
-    ``build`` maps (pot, resolved parameter dict) to the frequency dict.
-    """
+    ``family(P, free)`` returns the frequencies at pot ``P`` and draws the
+    free parameters in resolution order: bounds of a later parameter may
+    depend on the values of earlier ones."""
 
     id: str
     lo: float
     hi: float
-    formulas: dict = field(repr=False)
-    params: Callable = field(repr=False)
-    build: Callable = field(repr=False)
+    family: Callable = field(repr=False)
 
     def contains(self, pot):
         """Whether ``pot`` (a float, or an array elementwise) is valid."""
         return (self.lo - _TOL <= pot) & (pot <= self.hi + _TOL)
 
+    @property
+    def formulas(self) -> dict:
+        """The family as text (see :func:`_formulas`)."""
+        return _formulas(self.family)
+
+
+class _Free:
+    """The free parameters a family draws: ``free(name, lo, hi)`` lists
+    the parameter and returns ``value(param)``; :meth:`split` and
+    :meth:`addend` are the two sum rules."""
+
+    def __init__(self, value: Callable):
+        self.value, self.params, self.values = value, [], {}
+
+    def __call__(self, name: str, lo, hi):
+        param = FreeParam(name, lo, hi)
+        self.params.append(param)
+        self.values[name] = v = self.value(param)
+        return v
+
+    def split(self, first: str, second: str, lo, hi) -> tuple:
+        """The sum ``first + second`` free in [lo, hi], then its first
+        addend; returns the two addends."""
+        total = self(f"{first}_plus_{second}", lo, hi)
+        x = self.addend(first, total)
+        return x, total - x
+
+    def addend(self, name: str, total):
+        """The first addend of a sum ``total``: free wherever both addends
+        stay in [0, 1]."""
+        if isinstance(total, _Expr):
+            return self(name, _Expr("max", 0.0, total - 1.0),
+                        _Expr("min", 1.0, total))
+        return self(name, np.maximum(0.0, total - 1.0), np.minimum(1.0, total))
+
 
 def _freqs(**kw) -> dict:
-    out = {n: 0.0 for n in
-           ("a1", "b1", "c1", "d1", "a2", "b2", "c2", "d2", "b3", "c3", "d3")}
-    out.update(kw)
-    return out
-
-
-def _addend(name: str, total) -> FreeParam:
-    """The first addend of a sum ``total``: free wherever both addends
-    stay in [0, 1]."""
-    return FreeParam(name, np.maximum(0.0, total - 1.0),
-                     np.minimum(1.0, total))
-
-
-def _free_sum(first: str, second: str, lo, hi, q):
-    """The sum ``first + second`` free in [lo, hi], then its first addend
-    (see :func:`_addend`)."""
-    total = f"{first}_plus_{second}"
-    yield FreeParam(total, lo, hi)
-    yield _addend(first, q[total])
+    return {**dict.fromkeys(FREQ_NAMES, 0.0), **kw}
 
 
 def _pow(x, k: int):
-    """``x ** k`` by Python's float power, pot by pot for an array.
-
-    numpy rounds integer powers differently (its ``P**3`` differs from
-    Python's on 145 of the 3001 pots of [2, 8] at step 0.002), so array
-    rows would not match :func:`instantiate`'s.  An overflow (family 10
-    above P ~ 1.3e154) is a ``ValueError``: an infinite denominator would
-    round a small frequency to zero and move the profile to the boundary.
-    """
+    """``x ** k`` by Python's float power, pot by pot for an array: numpy
+    rounds integer powers differently (``P**3`` on 145 of the 3001 pots of
+    [2, 8] at step 0.002).  An overflow (family 10 above P ~ 1.3e154) is a
+    ``ValueError``: an infinite denominator would round a small frequency
+    to zero and move the profile to the boundary."""
+    if isinstance(x, _Expr):
+        return _Expr("^", x, k)
     if isinstance(x, np.ndarray):
         return np.array([_pow(v, k) for v in x.tolist()])
     try:
         return float(x) ** k
     except OverflowError:
-        raise ValueError(f"pot too large: {x:g}**{k} overflows") from None
+        raise _PotTooLarge(f"pot too large: {x:g}**{k} overflows") from None
 
 
 # -- family definitions ------------------------------------------------------
 
-def _params_1a(P, q):
-    yield FreeParam("b3", 0.0, 2 / 3)
-    yield from _free_sum("c3", "d1", 0.0, q["b3"], q)
-    yield from _free_sum("c2", "d3", 0.0, q["b3"], q)
+def _family_1a(P, free):
+    b3 = free("b3", 0.0, 2 / 3)
+    c3, d1 = free.split("c3", "d1", 0.0, b3)
+    c2, d3 = free.split("c2", "d3", 0.0, b3)
+    return _freqs(b3=b3, c3=c3, d1=d1, c2=c2, d3=d3)
 
 
-def _build_1a(P, q):
-    return _freqs(b3=q["b3"], c3=q["c3"], d1=q["c3_plus_d1"] - q["c3"],
-                  c2=q["c2"], d3=q["c2_plus_d3"] - q["c2"])
-
-
-def _params_1(P, q):
+def _family_1(P, free):
     lo, hi = (2 * P - 4) / (P + 1), 2 / (P + 1)
-    yield from _free_sum("c3", "d1", lo, hi, q)
-    yield from _free_sum("c2", "d3", lo, hi, q)
-
-
-def _build_1(P, q):
+    c3, d1 = free.split("c3", "d1", lo, hi)
+    c2, d3 = free.split("c2", "d3", lo, hi)
     return _freqs(b3=2 / (P + 1), d2=(2 * P - 4) / (P + 1),
-                  c3=q["c3"], d1=q["c3_plus_d1"] - q["c3"],
-                  c2=q["c2"], d3=q["c2_plus_d3"] - q["c2"])
+                  c3=c3, d1=d1, c2=c2, d3=d3)
 
 
-def _params_2a(P, q):
-    yield FreeParam("a2", 0.0, 0.5)
-    yield from _free_sum("c2", "d3", 0.5, 0.5 + 0.5 * q["a2"], q)
+def _family_2a(P, free):
+    a2 = free("a2", 0.0, 0.5)
+    b2 = 0.5 * a2
+    c2, d3 = free.split("c2", "d3", 0.5, 0.5 + b2)
+    return _freqs(a2=a2, b2=b2, b3=0.5, d2=0.5 * (1 + a2), d1=0.5,
+                  c2=c2, d3=d3)
 
 
-def _build_2a(P, q):
-    a2 = q["a2"]
-    return _freqs(a2=a2, b2=0.5 * a2, b3=0.5, d2=0.5 * (1 + a2), d1=0.5,
-                  c2=q["c2"], d3=q["c2_plus_d3"] - q["c2"])
-
-
-def _build_2(P, q):
+def _family_2(P, free):
+    c2, d3 = free.split("c2", "d3", (2 * P - 4) / (P + 1), 3 / (P + 1))
     return _freqs(a2=0.5, b2=1 / (P + 1), b3=2 / (P + 1), c1=2 * P - 6,
                   d2=(3 + 6 * P - 2 * P * P) / (P + 1),
-                  d1=(2 * P - 4) / (P + 1),
-                  c2=q["c2"], d3=q["c2_plus_d3"] - q["c2"])
+                  d1=(2 * P - 4) / (P + 1), c2=c2, d3=d3)
 
 
-def _a2_sol3(P):
+def _family_3(P, free):
     disc = _pow(P, 4) - 4 * _pow(P, 3) + 4 * P * P + 12 * P + 12
-    return 0.5 * (4 - P * P + np.sqrt(disc))
-
-
-def _params_3(P, q):
-    a2 = _a2_sol3(P)
+    a2 = 0.5 * (4 - P * P + np.sqrt(disc))
     b2 = 2 * a2 / (P + 1)
     b3 = (2 - b2) / (P + a2)
-    return _free_sum("c2", "d3", (2 * P - 4) / (P + 1), b2 + b3, q)
+    c2, d3 = free.split("c2", "d3", (2 * P - 4) / (P + 1), b2 + b3)
+    return _freqs(a2=a2, b2=b2, b3=b3, c1=(2 * P - 4 + 2 * a2) / (P + 1),
+                  d1=(2 * P - 4) / (P + 1), c2=c2, d3=d3)
 
 
-def _build_3(P, q):
-    a2 = _a2_sol3(P)
-    b2 = 2 * a2 / (P + 1)
-    return _freqs(a2=a2, b2=b2, b3=(2 - b2) / (P + a2),
-                  c1=(2 * P - 4 + 2 * a2) / (P + 1),
-                  d1=(2 * P - 4) / (P + 1),
-                  c2=q["c2"], d3=q["c2_plus_d3"] - q["c2"])
-
-
-def _build_4(P, q):
+def _family_4(P, free):
+    c2, d3 = free.split("c2", "d3", (2 * P - 4) / (P + 1),
+                        (P + 7) / (3 * (P + 1)))
     return _freqs(a2=0.5 * (5 - P), b2=(5 - P) / (P + 1),
                   b3=4 * (P - 2) / (3 * (P + 1)), c1=1.0,
-                  d1=(2 * P - 4) / (P + 1),
-                  c2=q["c2"], d3=q["c2_plus_d3"] - q["c2"])
+                  d1=(2 * P - 4) / (P + 1), c2=c2, d3=d3)
 
 
-def _params_5a(P, q):
-    yield FreeParam("a2", 0.75, 1.0)
-    yield from _free_sum("c2", "d3", 2 / 3, (4 / 9) * (1 + q["a2"]), q)
+def _family_5a(P, free):
+    a2 = free("a2", 0.75, 1.0)
+    c2, d3 = free.split("c2", "d3", 2 / 3, (4 / 9) * (1 + a2))
+    b2 = (4 / 9) * a2
+    return _freqs(a2=a2, b2=b2, b3=4 / 9, c1=1.0, d2=b2 - 1 / 3, d1=2 / 3,
+                  c2=c2, d3=d3)
 
 
-def _build_5a(P, q):
-    a2 = q["a2"]
-    return _freqs(a2=a2, b2=(4 / 9) * a2, b3=4 / 9, c1=1.0,
-                  d2=(4 / 9) * a2 - 1 / 3, d1=2 / 3,
-                  c2=q["c2"], d3=q["c2_plus_d3"] - q["c2"])
-
-
-def _build_5(P, q):
+def _family_5(P, free):
+    c2, d3 = free.split("c2", "d3", (2 * P - 4) / (P + 1), 4 / (P + 1))
     return _freqs(a2=1.0, b2=2 / (P + 1), b3=2 / (P + 1), c1=1.0,
                   d2=(P - 3) / (P + 1), d1=(2 * P - 4) / (P + 1),
-                  c2=q["c2"], d3=q["c2_plus_d3"] - q["c2"])
+                  c2=c2, d3=d3)
 
 
-def _no_params(P, q):
-    return iter(())
-
-
-def _build_6(P, q):
+def _family_6(P, free):
     return _freqs(a1=(4 - P) * (P + 1), b1=2 * (4 - P), a2=1.0,
                   b2=2 / (P + 1), b3=2 * (P - 3) / (P + 1), c1=1.0,
                   d2=(5 + 7 * P - 2 * P * P) / (P + 1),
@@ -267,7 +244,7 @@ def _build_6(P, q):
                   d3=(2 * P - 4) / (P + 1))
 
 
-def _build_7(P, q):
+def _family_7(P, free):
     return _freqs(a1=0.5, b1=1 / (P + 1), a2=1.0, b2=2 / (P + 1),
                   b3=(2 * P + 1) / _pow(P + 1, 2), c1=1.0,
                   d2=(P - 2) / (P + 1),
@@ -276,7 +253,7 @@ def _build_7(P, q):
                   d3=(2 * P - 4) / (P + 1))
 
 
-def _build_8(P, q):
+def _family_8(P, free):
     return _freqs(a1=0.5 * (9 - 2 * P) * (P + 1), b1=9 - 2 * P, a2=1.0,
                   b2=2 / (P + 1), b3=(2 * P - 7) / (P + 1), c1=1.0,
                   d2=(6 + 8 * P - 2 * P * P) / (P + 1), c3=1.0,
@@ -284,28 +261,19 @@ def _build_8(P, q):
                   d3=(2 * P - 4) / (P + 1))
 
 
-def _params_9(P, q):
-    yield _addend("c1", 2 * P / (P + 1))
-
-
-def _build_9(P, q):
+def _family_9(P, free):
     s = 2 * P / (P + 1)
+    c1 = free.addend("c1", s)
     return _freqs(a1=1.0, b1=2 / (P + 1), a2=1.0, b2=2 / (P + 1),
-                  b3=2 * P / _pow(P + 1, 2), c1=q["c1"], d2=s - q["c1"],
+                  b3=2 * P / _pow(P + 1, 2), c1=c1, d2=s - c1,
                   c3=1.0, d1=(P - 3) / (P + 1), d3=(2 * P - 4) / (P + 1))
 
 
-def _params_10a(P, q):
-    yield FreeParam("b1", 1 / 3, 2 / 5)
-    if q["b1"] <= 1 / 3 + _TOL:
-        # only at b1 = 1/3 is the split of c1 + d2 = 5/3 free
-        yield FreeParam("c1", 2 / 3, 1.0)
-
-
-def _build_10a(P, q):
-    b1 = q["b1"]
+def _family_10a(P, free):
+    b1 = free("b1", 1 / 3, 2 / 5)
     if b1 <= 1 / 3 + _TOL:
-        c1 = q["c1"]
+        # only at b1 = 1/3 is the split of c1 + d2 = 5/3 free
+        c1 = free("c1", 2 / 3, 1.0)
         d2 = 5 / 3 - c1
     else:
         c1, d2 = 2 / 3, 1.0
@@ -313,117 +281,102 @@ def _build_10a(P, q):
                   c3=1.0, d1=1 / 3, d3=1.0)
 
 
-def _build_10(P, q):
+def _family_10(P, free):
     return _freqs(a1=1.0, b1=2 / P, a2=1.0, b2=2 / (P + 1),
                   b3=2 * P / _pow(P + 1, 2), c1=(P - 1) / (P + 1), d2=1.0,
                   c3=1.0, d1=(P - 3) / (P + 1), c2=(P - 5) / (P + 1), d3=1.0)
 
 
-_CATALOG: dict[str, EquilibriumSolution] = {}
+#: In catalog order: ascending lower end of the validity range.
+_CATALOG = {sid: EquilibriumSolution(sid, lo, hi, family)
+            for sid, lo, hi, family in (
+    ("1a", 2.0, 2.0, _family_1a), ("1", 2.0, 3.0, _family_1),
+    ("2a", 3.0, 3.0, _family_2a), ("2", 3.0, _P4, _family_2),
+    ("3", _P3, _P4, _family_3), ("4", _P3, 3.5, _family_4),
+    ("5a", 3.5, 3.5, _family_5a), ("5", 3.5, 4.0, _family_5),
+    ("6", _P6, 4.0, _family_6), ("7", _P6, _P9, _family_7),
+    ("8", _P8, _P9, _family_8), ("9", _P8, 5.0, _family_9),
+    ("10a", 5.0, 5.0, _family_10a), ("10", 5.0, math.inf, _family_10),
+)}
+SOLUTION_IDS = tuple(_CATALOG)
 
 
-def _register(sid, lo, hi, formulas, params, build):
-    _CATALOG[sid] = EquilibriumSolution(sid, lo, hi, formulas, params, build)
+# -- formulas as text --------------------------------------------------------
+
+class _Expr:
+    """A printing value: a formula as a tree of + - * / ^ and calls, which
+    a family run on ``_Expr`` values builds (``np.sqrt`` calls :meth:`sqrt`).
+    A leaf is a name: the pot, or a free parameter pinned at ``pin`` for a
+    family's branch to compare."""
+
+    def __init__(self, op: str, *args, pin=None):
+        self.op, self.args, self.pin, self.compared = op, args, pin, False
+
+    def __add__(self, other): return _Expr("+", self, other)
+    def __radd__(self, other): return _Expr("+", other, self)
+    def __sub__(self, other): return _Expr("-", self, other)
+    def __rsub__(self, other): return _Expr("-", other, self)
+    def __mul__(self, other): return _Expr("*", self, other)
+    def __rmul__(self, other): return _Expr("*", other, self)
+    def __truediv__(self, other): return _Expr("/", self, other)
+    def __rtruediv__(self, other): return _Expr("/", other, self)
+
+    def sqrt(self):
+        return _Expr("sqrt", self)
+
+    def __le__(self, other):
+        self.compared = True
+        return self.pin <= other
 
 
-_register("1a", 2.0, 2.0, {
-    "a1": "0", "b1": "0", "a2": "0", "b2": "0", "c1": "0", "d2": "0",
-    "b3": "free in [0, 2/3]", "c3+d1": "free in [0, b3]",
-    "c2+d3": "free in [0, b3]",
-}, _params_1a, _build_1a)
+_PREC = {"+": 1, "-": 1, "*": 2, "/": 2, "^": 3}
 
-_register("1", 2.0, 3.0, {
-    "a1": "0", "b1": "0", "a2": "0", "b2": "0", "b3": "2/(P+1)", "c1": "0",
-    "d2": "(2P-4)/(P+1)",
-    "c3+d1": "free in [(2P-4)/(P+1), 2/(P+1)]",
-    "c2+d3": "free in [(2P-4)/(P+1), 2/(P+1)]",
-}, _params_1, _build_1)
 
-_register("2a", 3.0, 3.0, {
-    "a1": "0", "b1": "0", "a2": "free in [0, 1/2]", "b2": "a2/2",
-    "b3": "1/2", "c1": "0", "d2": "(1+a2)/2", "c3": "0", "d1": "1/2",
-    "c2+d3": "free in [1/2, 1/2 + b2]",
-}, _params_2a, _build_2a)
+def _show(x, named: dict, top: bool = False) -> tuple:
+    """(text, precedence) of a printing value, with the fewest
+    parentheses.  A subtree that is a frequency's value prints as that
+    frequency's name (``named`` maps ids to names) unless it is ``top``."""
+    if not isinstance(x, _Expr):  # a constant, as the simplest n/q it is
+        q = next((q for q in range(1, 100) if round(x * q) / q == x), 0)
+        text = (repr(x) if not q else str(round(x)) if q == 1
+                else f"{round(x * q)}/{q}")
+        return text, 0 if x < 0 else 2 if q > 1 else 9
+    if not x.args or (not top and id(x) in named):
+        return named.get(id(x), x.op), 9
+    parts = [_show(a, named) for a in x.args]
+    if x.op not in _PREC:
+        return f"{x.op}({', '.join(text for text, _ in parts)})", 9
+    p = _PREC[x.op]
+    (a, pa), (b, pb) = parts
+    a = f"({a})" if pa < p or pa == p == _PREC["^"] else a
+    b = f"({b})" if pb < p or (pb == p and x.op in "-/") else b
+    return f"{a}{x.op}{b}", p
 
-_register("2", 3.0, _P4, {
-    "a1": "0", "b1": "0", "a2": "1/2", "b2": "1/(P+1)", "b3": "2/(P+1)",
-    "c1": "2P-6", "d2": "(3+6P-2P^2)/(P+1)", "c3": "0",
-    "d1": "(2P-4)/(P+1)",
-    "c2+d3": "free in [(2P-4)/(P+1), 3/(P+1)]",
-}, lambda P, q: _free_sum("c2", "d3", (2 * P - 4) / (P + 1), 3 / (P + 1), q),
-   _build_2)
 
-_register("3", _P3, _P4, {
-    "a1": "0", "b1": "0",
-    "a2": "(4 - P^2 + sqrt(P^4 - 4P^3 + 4P^2 + 12P + 12))/2",
-    "b2": "2 a2/(P+1)", "b3": "(2 - b2)/(P + a2)",
-    "c1": "(2P - 4 + 2 a2)/(P+1)", "d2": "0", "c3": "0",
-    "d1": "(2P-4)/(P+1)",
-    "c2+d3": "free in [(2P-4)/(P+1), b2 + b3]",
-}, _params_3, _build_3)
+def _formulas(family: Callable) -> dict:
+    """The text of a family: each frequency's closed form or, for a free
+    parameter, its interval ``free in [lo, hi]``; then each free sum,
+    keyed ``c2_plus_d3``.
 
-_register("4", _P3, 3.5, {
-    "a1": "0", "b1": "0", "a2": "(5-P)/2", "b2": "(5-P)/(P+1)",
-    "b3": "4(P-2)/(3(P+1))", "c1": "1", "d2": "0", "c3": "0",
-    "d1": "(2P-4)/(P+1)",
-    "c2+d3": "free in [(2P-4)/(P+1), (P+7)/(3(P+1))]",
-}, lambda P, q: _free_sum("c2", "d3", (2 * P - 4) / (P + 1),
-                          (P + 7) / (3 * (P + 1)), q), _build_4)
+    A family may branch only on whether a free parameter sits at the
+    lower end of its interval (10a does), so it runs with every parameter
+    pinned at the lower end, then at the upper end; an entry that differs
+    reads ``<text> if <name> = <lo>, else <text>``."""
+    def run(end: int) -> tuple:
+        free = _Free(lambda p: _Expr(p.name, pin=p[end]))
+        freqs = family(_Expr("P"), free)
+        named = {id(v): n for n, v in freqs.items() if isinstance(v, _Expr)}
+        bounds = {p.name: (_show(p.lo, named)[0], _show(p.hi, named)[0])
+                  for p in free.params}
+        return {n: "free in [%s, %s]" % bounds[n] if n in bounds
+                else _show(freqs[n], named, top=True)[0]
+                for n in (*FREQ_NAMES, *bounds)}, free.values
 
-_register("5a", 3.5, 3.5, {
-    "a1": "0", "b1": "0", "a2": "free in [3/4, 1]", "b2": "4 a2/9",
-    "b3": "4/9", "c1": "1", "d2": "4 a2/9 - 1/3", "c3": "0", "d1": "2/3",
-    "c2+d3": "free in [2/3, 4(1+a2)/9]",
-}, _params_5a, _build_5a)
-
-_register("5", 3.5, 4.0, {
-    "a1": "0", "b1": "0", "a2": "1", "b2": "2/(P+1)", "b3": "2/(P+1)",
-    "c1": "1", "d2": "(P-3)/(P+1)", "c3": "0", "d1": "(2P-4)/(P+1)",
-    "c2+d3": "free in [(2P-4)/(P+1), 4/(P+1)]",
-}, lambda P, q: _free_sum("c2", "d3", (2 * P - 4) / (P + 1), 4 / (P + 1), q),
-   _build_5)
-
-_register("6", _P6, 4.0, {
-    "a1": "(4-P)(P+1)", "b1": "2(4-P)", "a2": "1", "b2": "2/(P+1)",
-    "b3": "2(P-3)/(P+1)", "c1": "1", "d2": "(5+7P-2P^2)/(P+1)", "c3": "0",
-    "d1": "(4+8P-2P^2)/(P+1)", "c2": "0", "d3": "(2P-4)/(P+1)",
-}, _no_params, _build_6)
-
-_register("7", _P6, _P9, {
-    "a1": "1/2", "b1": "1/(P+1)", "a2": "1", "b2": "2/(P+1)",
-    "b3": "(2P+1)/(P+1)^2", "c1": "1", "d2": "(P-2)/(P+1)",
-    "c3": "(2P^2-6P-7)/(P+1)", "d1": "(4+8P-2P^2)/(P+1)", "c2": "0",
-    "d3": "(2P-4)/(P+1)",
-}, _no_params, _build_7)
-
-_register("8", _P8, _P9, {
-    "a1": "(9-2P)(P+1)/2", "b1": "9-2P", "a2": "1", "b2": "2/(P+1)",
-    "b3": "(2P-7)/(P+1)", "c1": "1", "d2": "(6+8P-2P^2)/(P+1)", "c3": "1",
-    "d1": "(4+8P-2P^2)/(P+1)", "c2": "0", "d3": "(2P-4)/(P+1)",
-}, _no_params, _build_8)
-
-_register("9", _P8, 5.0, {
-    "a1": "1", "b1": "2/(P+1)", "a2": "1", "b2": "2/(P+1)",
-    "b3": "2P/(P+1)^2", "c1+d2": "2P/(P+1), split free", "c3": "1",
-    "d1": "(P-3)/(P+1)", "c2": "0", "d3": "(2P-4)/(P+1)",
-}, _params_9, _build_9)
-
-_register("10a", 5.0, 5.0, {
-    "a1": "1", "b1": "free in [1/3, 2/5]", "a2": "1", "b2": "1/3",
-    "b3": "5/18",
-    "c1+d2": "5/3 split free at b1 = 1/3; c1 = 2/3, d2 = 1 for b1 > 1/3",
-    "c3": "1", "d1": "1/3", "c2": "0", "d3": "1",
-}, _params_10a, _build_10a)
-
-_register("10", 5.0, math.inf, {
-    "a1": "1", "b1": "2/P", "a2": "1", "b2": "2/(P+1)", "b3": "2P/(P+1)^2",
-    "c1": "(P-1)/(P+1)", "d2": "1", "c3": "1", "d1": "(P-3)/(P+1)",
-    "c2": "(P-5)/(P+1)", "d3": "1",
-}, _no_params, _build_10)
-
-#: Catalog order: ascending lower end of the validity range.
-SOLUTION_IDS = ("1a", "1", "2a", "2", "3", "4", "5a", "5", "6", "7", "8",
-                "9", "10a", "10")
+    (at_lo, pinned), (at_hi, _) = run(1), run(2)  # FreeParam.lo, .hi
+    branch = " and ".join(f"{n} = {_show(v.pin, {})[0]}"
+                          for n, v in pinned.items() if v.compared)
+    return {n: t if t == at_hi[n] else f"{t} if {branch}, else {at_hi[n]}"
+            for n, t in at_lo.items()}
 
 
 def solution(sol_id: str) -> EquilibriumSolution:
@@ -457,12 +410,12 @@ def free_parameters(sol_id: str, pot: float,
     sol = solution(sol_id)
     pot = _check_in_range(sol, pot)
     chosen = dict(chosen or {})
-    out = []
-    resolved: dict[str, float] = {}
-    for param in sol.params(pot, resolved):
-        out.append(param)
-        resolved[param.name] = chosen.get(param.name, param.midpoint)
-    return out
+    free = _Free(lambda p: chosen.get(p.name, p.midpoint))
+    try:
+        sol.family(pot, free)
+    except _PotTooLarge:  # families draw parameters before such powers
+        pass
+    return free.params
 
 
 def _check_in_range(sol: EquilibriumSolution, pot: float) -> float:
@@ -486,45 +439,47 @@ def instantiate(sol_id: str, pot: float,
     sol = solution(sol_id)
     pot = _check_in_range(sol, pot)
     supplied = dict(free_params or {})
-    resolved: dict[str, float] = {}
-    for param in sol.params(pot, resolved):
-        if param.name in supplied:
-            v = float(supplied.pop(param.name))
-            if not param.lo - _TOL <= v <= param.hi + _TOL:
-                raise FreeParamViolation(
-                    f"{sol_id}: parameter {param.name}={v:g} outside "
-                    f"[{param.lo:g}, {param.hi:g}] at P={pot:g}")
-            v = min(param.hi, max(param.lo, v))
-        else:
-            v = param.midpoint
-        resolved[param.name] = v
+
+    def value(param: FreeParam) -> float:
+        if param.name not in supplied:
+            return param.midpoint
+        v = float(supplied.pop(param.name))
+        if not param.lo - _TOL <= v <= param.hi + _TOL:
+            raise FreeParamViolation(
+                f"{sol_id}: parameter {param.name}={v:g} outside "
+                f"[{param.lo:g}, {param.hi:g}] at P={pot:g}")
+        return min(param.hi, max(param.lo, v))
+
+    try:
+        freqs = sol.family(pot, _Free(value))
+    except _PotTooLarge:
+        if not supplied:  # else an unknown parameter is the first fault
+            raise
     if supplied:
         raise FreeParamViolation(
             f"{sol_id}: unknown free parameters {sorted(supplied)}")
-    return StrategyProfile.from_dict(sol.build(pot, resolved))
+    return StrategyProfile.from_dict(freqs)
 
 
 def profile_rows(sol_id: str, pots) -> np.ndarray:
     """Profiles of one family at each of ``pots`` (1-D), free parameters
     at their midpoints, as rows (m, 11) in ``FREQ_NAMES`` order.
 
-    Row i equals ``instantiate(sol_id, pots[i]).as_tuple()`` bit for bit.
-    The builders run once on the array of pots, and the block is checked
-    and clamped once by the rule of :class:`StrategyProfile`.  Raises
-    :class:`PotOutOfRange`, or ``ValueError`` naming the first frequency
-    outside [0, 1].
+    Row i equals ``instantiate(sol_id, pots[i]).as_tuple()`` bit for bit:
+    the family runs once on the array of pots, where numpy rounds + - * /
+    and square roots as Python does (:func:`_pow` takes powers pot by
+    pot), and the block is checked and clamped once by the rule of
+    :class:`StrategyProfile`.  Raises :class:`PotOutOfRange`, or
+    ``ValueError`` naming the first frequency outside [0, 1].
     """
     sol = solution(sol_id)
     P = check_pots(pots)
     inside = sol.contains(P)
     if not inside.all():
         _check_in_range(sol, P[~inside][0])  # raises for this pot
-    resolved: dict = {}
     # _pow rejects a pot too large for a formula; numpy need not warn first
     with np.errstate(over="ignore"):
-        for param in sol.params(P, resolved):
-            resolved[param.name] = param.midpoint
-        freqs = sol.build(P, resolved)
+        freqs = sol.family(P, _Free(lambda p: p.midpoint))
     F = np.empty((len(P), len(FREQ_NAMES)))
     for j, name in enumerate(FREQ_NAMES):
         F[:, j] = freqs[name]
@@ -559,8 +514,8 @@ def equilibrium_profit(sol_id: str, pot: float,
 
 
 def catalog_json(samples_per_family: int = 3) -> dict:
-    """JSON-ready description of the catalog: validity ranges, frequency
-    formulas as strings, and sampled numeric instantiations."""
+    """JSON-ready description of the catalog: validity ranges, the text of
+    each family's formulas, and sampled numeric instantiations."""
     crit = critical_pots()
     out = {
         "critical_pots": {k: getattr(crit, k) for k in crit._fields},

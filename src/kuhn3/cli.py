@@ -28,7 +28,7 @@ import os
 import sys
 
 from . import analytic_ev, catalog, dynamics, stability, verify
-from .game_model import FREQ_NAMES, StrategyProfile, check_pot
+from .game_model import FREQ_COLUMNS, FREQ_NAMES, StrategyProfile, check_pot
 
 EXIT_OK = 0
 EXIT_VERIFY_FAILED = 1
@@ -43,8 +43,7 @@ MAX_POTS = 10**6
 SWEEP_BLOCK = 128
 
 _SWEEP_HEADERS = {
-    "frequencies": "P,solution," + ",".join(
-        n if n != "d3" else "d3_" for n in FREQ_NAMES),
+    "frequencies": ",".join(("P", "solution", *FREQ_COLUMNS)),
     "profits": "P,solution,E1x24,E2x24,E3x24",
     "stability": "P,solution,verdict,max_real_part,oscillatory_pairs,zero_modes",
     "classification": "P,seed,t_end,label",
@@ -289,8 +288,9 @@ def cmd_sweep(args) -> int:
     out = args.out or f"sweep_{args.what}.csv"
 
     if args.what == "classification":
-        # too short to classify is known before any row starts
+        # too short to classify, or a bad seed, is known before any row starts
         dynamics.tail_start(dynamics.sample_count(args.t_end, icfg.dt_sample))
+        dynamics.check_seed(seed)
     try:
         if args.what == "classification":
             chunks = _classification_chunks(grid, seed, args.t_end, icfg)

@@ -29,7 +29,7 @@ import numpy as np
 
 from . import _stepper
 from .analytic_ev import gradient_scaled
-from .game_model import FREQ_NAMES, StrategyProfile, check_pot
+from .game_model import FREQ_COLUMNS, FREQ_NAMES, StrategyProfile, check_pot
 
 __all__ = [
     "BoundaryEvent",
@@ -44,6 +44,7 @@ __all__ = [
     "Trajectory",
     "WindowOutOfRange",
     "average_profit_rate",
+    "check_seed",
     "classify",
     "gains_array",
     "integrate",
@@ -56,7 +57,7 @@ __all__ = [
     "vector_field",
 ]
 
-TRAJECTORY_CSV_HEADER = "t,a1,b1,c1,d1,a2,b2,c2,d2,b3,c3,d3_,p1,p2,p3"
+TRAJECTORY_CSV_HEADER = ",".join(("t", *FREQ_COLUMNS, "p1", "p2", "p3"))
 
 #: Most samples one trajectory may hold: 25 times the 40 001 of a t = 20 000
 #: run at dt = 0.5, about 300 MB of arrays.
@@ -244,10 +245,18 @@ def vector_field(F, pot: float, gains=None) -> np.ndarray:
     return k * np.array(gradient_scaled(StrategyProfile(*f), pot))
 
 
+def check_seed(seed: int) -> int:
+    """``seed`` if it can seed :func:`random_initial_profile`, else a
+    ``ValueError``: it must be non-negative."""
+    if seed < 0:
+        raise ValueError(f"seed must be non-negative, got {seed}")
+    return seed
+
+
 def random_initial_profile(seed: int, lo: float = 0.05,
                            hi: float = 0.95) -> StrategyProfile:
     """Seeded random interior profile, uniform per coordinate on [lo, hi]."""
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(check_seed(seed))
     return StrategyProfile(*rng.uniform(lo, hi, 11))
 
 

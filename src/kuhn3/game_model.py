@@ -42,6 +42,7 @@ import numpy as np
 __all__ = [
     "Card",
     "Deal",
+    "FREQ_COLUMNS",
     "FREQ_NAMES",
     "FREQ_OWNER",
     "FREQ_TOL",
@@ -57,6 +58,9 @@ __all__ = [
 
 #: Frequency names in canonical order (also the trajectory/CSV column order).
 FREQ_NAMES = ("a1", "b1", "c1", "d1", "a2", "b2", "c2", "d2", "b3", "c3", "d3")
+
+#: Frequency columns of the trajectory and sweep CSV files: ``d3`` is ``d3_``.
+FREQ_COLUMNS = tuple(n if n != "d3" else "d3_" for n in FREQ_NAMES)
 
 #: Owning player (1-based) of each frequency.
 FREQ_OWNER = {n: int(n[1]) for n in FREQ_NAMES}

@@ -107,8 +107,8 @@ def best_response_check(profile: StrategyProfile, pot: float,
         statuses[name] = status
         gaps[name] = gap
     overall = all(s is not FreqStatus.VIOLATED for s in statuses.values())
-    return BestResponseReport(statuses, gaps, overall,
-                              exploitability(profile, pot), tol)
+    return BestResponseReport(statuses, gaps, overall, _gains(profile, grad),
+                              tol)
 
 
 def exploitability(profile: StrategyProfile, pot: float) -> tuple:
@@ -119,8 +119,11 @@ def exploitability(profile: StrategyProfile, pot: float) -> tuple:
     frequencies over the unit box.  Nonnegative; zero exactly at a best
     response.
     """
-    pot = check_pot(pot)
-    grad = analytic_ev.gradient(profile, pot)
+    return _gains(profile, analytic_ev.gradient(profile, check_pot(pot)))
+
+
+def _gains(profile: StrategyProfile, grad) -> tuple:
+    """:func:`exploitability` from the gradient at the profile."""
     gains = [0.0, 0.0, 0.0]
     for name in FREQ_NAMES:
         g = getattr(grad, name)

@@ -248,11 +248,11 @@ class TestBlockValidation:
         def patch(value):
             sol = solution("10")
 
-            def build(P, q):
-                return {**sol.build(P, q), "d2": value}
+            def family(P, free):
+                return {**sol.family(P, free), "d2": value}
 
             monkeypatch.setitem(catalog._CATALOG, "10",
-                                dataclasses.replace(sol, build=build))
+                                dataclasses.replace(sol, family=family))
         return patch
 
     def test_round_off_above_one_clamps(self, patch_d2):
@@ -368,11 +368,12 @@ class TestCatalogExport:
 
 
 class TestFormulaStrings:
-    """The ``formulas`` strings of the catalog restate the ``_build_*`` and
-    ``_params_*`` code; parse each one and compare it with that code."""
+    """``formulas`` is text run from each family's one definition; parse
+    every entry and compare it with ``instantiate`` and
+    ``free_parameters``."""
 
-    #: prose that states no value to compare
-    PROSE = {("9", "c1+d2"), ("10a", "c1+d2")}
+    #: free parameters to read the text at: 10a branches at b1 = 1/3
+    CHOICES = {"10a": ({"b1": 1 / 3, "c1": 0.9}, {"b1": 0.35}, {"b1": 0.4})}
 
     @staticmethod
     def _pots(sid):
@@ -383,38 +384,74 @@ class TestFormulaStrings:
             return [lo + 0.5, lo + 2.0, lo + 5.0]
         return [lo + (hi - lo) * t for t in (0.1, 0.5, 0.9)]
 
-    def test_formulas_match_builders(self):
+    def test_formulas_match_the_families(self):
         sympy = pytest.importorskip("sympy")
         from sympy.parsing.sympy_parser import (
-            convert_xor, implicit_multiplication, parse_expr,
-            standard_transformations)
+            convert_xor, parse_expr, standard_transformations)
 
-        symbols = {n: sympy.Symbol(n) for n in (*FREQ_NAMES, "P")}
-        rules = standard_transformations + (implicit_multiplication,
-                                            convert_xor)
+        names = ("P", *FREQ_NAMES, "c2_plus_d3", "c3_plus_d1")
+        local = {n: sympy.Symbol(n) for n in names}
+        local.update(max=sympy.Max, min=sympy.Min, sqrt=sympy.sqrt)
+
+        def parse(text):
+            return parse_expr(text, local_dict=local, transformations=(
+                *standard_transformations, convert_xor))
+
         for sid in SOLUTION_IDS:
-            for pot in self._pots(sid):
-                # frequency names in a formula take the profile's own values
-                prof = instantiate(sid, pot).as_dict()
-                env = {symbols[n]: v for n, v in prof.items()}
-                env[symbols["P"]] = pot
-                params = {p.name: p for p in free_parameters(sid, pot)}
+            formulas = solution(sid).formulas
+            for pot, chosen in ((pot, chosen) for pot in self._pots(sid)
+                                for chosen in self.CHOICES.get(sid, ({},))):
+                prof = instantiate(sid, pot, chosen).as_dict()
+                params = {p.name: p
+                          for p in free_parameters(sid, pot, chosen)}
+                env = {local[n]: v for n, v in prof.items()}
+                env[local["P"]] = pot
+                for total in ("c2_plus_d3", "c3_plus_d1"):
+                    first, second = total.split("_plus_")
+                    env[local[total]] = prof[first] + prof[second]
 
                 def value(text):
-                    expr = parse_expr(text, local_dict=symbols,
-                                      transformations=rules)
-                    return float(expr.subs(env))
+                    return float(parse(text).subs(env))
 
-                for key, text in solution(sid).formulas.items():
-                    where = (sid, pot, key, text)
-                    interval = re.fullmatch(r"free in \[(.+?), (.+)\]", text)
+                for key, text in formulas.items():
+                    members = re.fullmatch(r"(.+) if (\w+) = (.+), else (.+)",
+                                           text)
+                    if members:
+                        at_lo = prof[members[2]] == pytest.approx(
+                            value(members[3]), rel=0, abs=1e-12)
+                        text = members[1] if at_lo else members[4]
+                    where = (sid, pot, chosen, key, text)
+                    interval = re.fullmatch(r"free in \[(.+)\]", text)
                     if interval:
-                        p = params[key.replace("+", "_plus_")]
-                        assert value(interval[1]) == pytest.approx(
-                            p.lo, rel=0, abs=1e-12), where
-                        assert value(interval[2]) == pytest.approx(
-                            p.hi, rel=0, abs=1e-12), where
-                    elif (sid, key) not in self.PROSE:
-                        want = sum(prof[k] for k in key.split("+"))
+                        lo, hi = parse(f"({interval[1]})")
+                        assert float(lo.subs(env)) == pytest.approx(
+                            params[key].lo, rel=0, abs=1e-12), where
+                        assert float(hi.subs(env)) == pytest.approx(
+                            params[key].hi, rel=0, abs=1e-12), where
+                    else:
                         assert value(text) == pytest.approx(
-                            want, rel=0, abs=1e-12), where
+                            prof[key], rel=0, abs=1e-12), where
+
+    def test_every_frequency_and_free_parameter_is_stated(self):
+        for sid in SOLUTION_IDS:
+            sol = solution(sid)
+            names = set(FREQ_NAMES)
+            for chosen in self.CHOICES.get(sid, ({},)):
+                names |= {p.name for p in free_parameters(sid, sol.lo, chosen)}
+            assert set(sol.formulas) == names, sid
+        members = {(sid, key): text for sid in SOLUTION_IDS
+                   for key, text in solution(sid).formulas.items()
+                   if " if " in text}
+        assert members == {
+            ("10a", "c1"): "free in [2/3, 1] if b1 = 1/3, else 2/3",
+            ("10a", "d2"): "5/3-c1 if b1 = 1/3, else 1",
+        }
+
+    def test_a_frequency_inside_another_prints_by_name(self):
+        f = solution("3").formulas
+        assert f["b3"] == "(2-b2)/(P+a2)"
+        assert f["c2_plus_d3"] == "free in [(2*P-4)/(P+1), b2+b3]"
+        assert f["c2"] == "free in [max(0, c2_plus_d3-1), min(1, c2_plus_d3)]"
+        assert f["d3"] == "c2_plus_d3-c2"
+        assert solution("4").formulas["b3"] == "4*(P-2)/(3*(P+1))"
+        assert solution("7").formulas["b3"] == "(2*P+1)/(P+1)^2"

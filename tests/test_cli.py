@@ -14,7 +14,7 @@ from conftest import POT_SAMPLE, bits
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from kuhn3 import _stepper, cli
+from kuhn3 import _stepper, cli, dynamics
 from kuhn3.analytic_ev import expected_profit_scaled
 from kuhn3.catalog import (SOLUTION_IDS, critical_pots, instantiate,
                            rows_at, solutions_for_pot, validity_range)
@@ -581,6 +581,48 @@ def test_simulate_arguments_fuzz(pot, t_end, dt, rtol, atol, f_max, seed,
     assert (code == 0) == ("error: " not in err), err
     if code:
         assert err.splitlines()[-1].startswith("error: "), err
+
+
+#: (pot-min, pot-max, step): grids of 2 to 5 pots in [2, 4.5], or odd ones
+_GRIDS = st.one_of(
+    st.tuples(st.floats(2.0, 3.0), st.floats(0.2, 0.5), st.integers(1, 3))
+    .map(lambda g: (g[0], g[0] + g[1] * g[2], g[1])),
+    st.tuples(_plain_or_odd(2.0, 3.0), _plain_or_odd(2.0, 3.0),
+              _plain_or_odd(0.3, 1.0)))
+
+
+@given(grid=_GRIDS, seed=st.integers(-3, 2**70),
+       t_end=st.one_of(st.sampled_from(_ODD[:8]), st.floats(1.0, 20.0)),
+       dt=_plain_or_odd(0.02, 0.08))
+@example(grid=(2.0, 2.5, 0.5), seed=1, t_end=15.0, dt=0.05)
+@example(grid=(2.0, 2.5, 0.5), seed=-1, t_end=15.0, dt=0.05)
+@example(grid=(2.0, 1e300, 1e300), seed=1, t_end=15.0, dt=0.05)
+@settings(max_examples=100, deadline=None)
+def test_classification_sweep_arguments_fuzz(grid, seed, t_end, dt):
+    # few pots and no run beyond t = 20 (a tail needs t_end / dt >= 255),
+    # so the forked workers of an example finish within a second
+    lo, hi, step = grid
+    argv = ["sweep", f"--pot-min={lo!r}", f"--pot-max={hi!r}",
+            f"--step={step!r}", "--what", "classification", f"--seed={seed}",
+            f"--t-end={t_end!r}", f"--dt={dt!r}", "--out", os.devnull]
+    code, err = _run_quietly(argv)
+    assert code in (0, 2, 3), (code, err)
+    assert (code == 0) == (err == ""), err
+    if code:
+        assert err.startswith("error: ") and err.count("\n") == 1, err
+
+
+@pytest.mark.parametrize("argv", [
+    ("simulate", "--pot", "2.5", "--t-end", "10"),
+    ("sweep", "--what", "classification", "--pot-min", "2", "--pot-max",
+     "2.5", "--step", "0.5", "--t-end", "20", "--dt", "0.05"),
+], ids=["simulate", "classification-sweep"])
+def test_negative_seed_is_a_usage_error(argv, monkeypatch):
+    monkeypatch.setattr(dynamics, "integrate",
+                        lambda *a, **kw: pytest.fail("a row started"))
+    code, err = _run_quietly([*argv, "--seed", "-1", "--out", os.devnull])
+    assert code == 2
+    assert err == "error: seed must be non-negative, got -1\n"
 
 
 _JSON_VALUES = st.one_of(

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from kuhn3 import analytic_ev
+from kuhn3 import analytic_ev, catalog
 from kuhn3.catalog import SOLUTION_IDS, instantiate, solution, validity_range
 from kuhn3.game_model import FREQ_NAMES, StrategyProfile
 from kuhn3.verify import (
@@ -62,7 +62,8 @@ class TestExploitability:
         # plug P=4.5 into the family-5 expressions (valid only to P=4)
         P = 4.5
         q = {"c2_plus_d3": 0.8, "c2": 0.4}
-        prof = StrategyProfile.from_dict(solution("5").build(P, q))
+        prof = StrategyProfile.from_dict(
+            solution("5").family(P, catalog._Free(lambda p: q[p.name])))
         gains = exploitability(prof, P)
         assert max(gains) > 1e-3
 
