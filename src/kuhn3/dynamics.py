@@ -62,6 +62,10 @@ TRAJECTORY_CSV_HEADER = ",".join(("t", *FREQ_COLUMNS, "p1", "p2", "p3"))
 #: Most samples one trajectory may hold: 25 times the 40 001 of a t = 20 000
 #: run at dt = 0.5, about 300 MB of arrays.
 MAX_SAMPLES = 10**6
+#: Longest integration time: 50 times the paper's t = 20 000.  At about
+#: 0.2 ms of integration per time unit (one 2-vCPU core, Python 3.11), a
+#: run this long already takes minutes.
+T_END_MAX = 1e6
 
 
 class InvalidInitial(ValueError):
@@ -264,11 +268,15 @@ def sample_count(t_end: float, dt_sample: float) -> int:
     """Samples of a trajectory integrated to ``t_end``: t = 0, then
     ``t_end / dt_sample`` sample intervals rounded to a whole number, so
     the run ends within half an interval of ``t_end``.  Raises
-    ``ValueError`` for a ``t_end`` that is not positive and finite, for a
-    sampling interval longer than ``t_end`` (the run would end at the
-    interval instead), or for more than ``MAX_SAMPLES`` samples."""
+    ``ValueError`` for a ``t_end`` that is not positive and finite or is
+    above ``T_END_MAX``, for a sampling interval longer than ``t_end`` (the
+    run would end at the interval instead), or for more than
+    ``MAX_SAMPLES`` samples."""
     if not (t_end > 0 and math.isfinite(t_end)):
         raise ValueError(f"t_end must be positive and finite, got {t_end!r}")
+    if t_end > T_END_MAX:
+        raise ValueError(f"t_end {t_end:g} exceeds the longest integration "
+                         f"time, {T_END_MAX:g}")
     if dt_sample > t_end:
         raise ValueError(f"sampling interval {dt_sample!r} exceeds t_end "
                          f"{t_end!r}")
@@ -296,11 +304,9 @@ def _run(initial: StrategyProfile, pot: float, t_end: float, gains,
     y0 = np.empty(14)
     y0[:11] = logit(f0, cfg.f_max) if logit_mode else f0
     y0[11:] = 0.0
-    # a step with a non-finite error norm is rejected; numpy need not warn
-    with np.errstate(all="ignore"):
-        ys, n_steps, status, t_reached = _stepper.integrate_core(
-            y0, pot, k, n, cfg.dt_sample, cfg.rtol, cfg.atol, cfg.f_max,
-            logit_mode, cfg.h0, cfg.h_min)
+    ys, n_steps, status, t_reached = _stepper.integrate_core(
+        y0, pot, k, n, cfg.dt_sample, cfg.rtol, cfg.atol, cfg.f_max,
+        logit_mode, cfg.h0, cfg.h_min)
     if status == _stepper.STATUS_STEP_UNDERFLOW:
         raise StepSizeUnderflow(t_reached)
 

@@ -355,6 +355,27 @@ class TestSweep:
         assert started == []
         assert not out.exists()
 
+    def test_too_long_starts_no_row(self, capsys, tmp_path, monkeypatch):
+        started = []
+
+        def record(name):
+            def call(*args):
+                started.append(name)
+                raise AssertionError(f"{name} called")
+            return call
+
+        monkeypatch.setattr(_stepper, "integrate_core",
+                            record("integrate_core"))
+        monkeypatch.setattr(os, "fork", record("fork"))
+        out = tmp_path / "cls.csv"
+        code, _, err = run_cli(capsys, "sweep", *self.POOLED[:-1], "2e6",
+                               "--dt", "7000", "--out", str(out))
+        assert code == 2
+        assert err == ("error: t_end 2e+06 exceeds the longest integration "
+                       "time, 1e+06\n")
+        assert started == []
+        assert not out.exists()
+
     def test_bad_range_rejected(self, capsys):
         code, _, err = run_cli(capsys, "sweep", "--pot-min", "4",
                                "--pot-max", "3", "--step", "0.1",
@@ -688,9 +709,14 @@ def test_only_classification_sweeps_import_the_pool(tmp_path,
      "--what", "profits"),
     ("sweep", "--pot-min", "2", "--pot-max", "3", "--step", "5e-324",
      "--what", "profits"),
+    (*_SIM[:-1], "1e300", "--dt", "1e297"),
+    ("sweep", "--pot-min", "2.2", "--pot-max", "2.4", "--step", "0.2",
+     "--what", "classification", "--seed", "1", "--t-end", "2e6", "--dt",
+     "7000"),
 ], ids=["rtol-nan", "rtol-atol-zero", "dt-zero", "f-max-zero", "pot-inf",
         "t-end-inf", "equilibria-pot-inf", "sweep-pot-max-inf", "dt-tiny",
-        "dt-subnormal", "sweep-step-tiny", "sweep-step-subnormal"])
+        "dt-subnormal", "sweep-step-tiny", "sweep-step-subnormal",
+        "t-end-huge", "sweep-t-end-huge"])
 def test_bad_input_is_a_usage_error(argv, tmp_path, subprocess_env):
     # a child process, so a hang fails on the timeout and a traceback shows
     proc = subprocess.run([sys.executable, "-m", "kuhn3.cli", *argv],

@@ -1,5 +1,7 @@
+import functools
 import json
 import math
+import operator
 import pickle
 import subprocess
 import sys
@@ -125,15 +127,12 @@ class TestVectorField:
             f = rng.uniform(0.01, 0.99, 11)
             pot = float(rng.uniform(2, 8))
             F = logit(f)
-            y = np.concatenate([F, np.zeros(3)])
-            out = np.empty(14)
-            _rhs(y, pot, np.ones(11), 40.0, True, out)
+            out = np.array(_rhs(*F.tolist(), pot, np.ones(11), 40.0, True))
             assert np.abs(out[:11] - vector_field(F, pot)).max() < 1e-12
             e = expected_profit(StrategyProfile(*f), pot)
             assert np.abs(out[11:] - np.array(e)).max() < 1e-12
             # direct-coordinate mode carries the f(1-f) factor
-            yd = np.concatenate([f, np.zeros(3)])
-            _rhs(yd, pot, np.ones(11), 40.0, False, out)
+            out = np.array(_rhs(*f.tolist(), pot, np.ones(11), 40.0, False))
             want = f * (1 - f) * vector_field(F, pot)
             assert np.abs(out[:11] - want).max() < 1e-12
 
@@ -144,33 +143,29 @@ class TestVectorField:
         # the stepper reuses the last stage of an accepted step as the
         # first stage of the next, although the state is clipped in
         # between; that is exact only while the right-hand side sees the
-        # adjustment coordinates through its own clamp and ignores profits.
-        # At f_max = F_MAX_LIMIT the lower clamp takes exp to its range end.
+        # adjustment coordinates through its own clamp (it takes no
+        # profits).  At f_max = F_MAX_LIMIT the lower clamp takes exp to
+        # its range end.
         from kuhn3._stepper import _rhs
 
         lo, hi = (-f_max, f_max) if logit_mode else (0.0, 1.0)
         k = rng.uniform(0.2, 3.0, 11)
         for _ in range(50):
-            y = np.empty(14)
-            y[:11] = (rng.uniform(-2 * f_max, 2 * f_max, 11) if logit_mode
-                      else rng.uniform(-0.5, 1.5, 11))
-            y[11:] = rng.normal(0.0, 1e3, 3)
-            clipped = y.copy()
-            clipped[:11] = np.clip(y[:11], lo, hi)
-            clipped[11:] = rng.normal(0.0, 1e3, 3)
-            assert (clipped[:11] != y[:11]).any()
-            a, b = np.empty(14), np.empty(14)
-            _rhs(y, 4.65, k, f_max, logit_mode, a)
-            _rhs(clipped, 4.65, k, f_max, logit_mode, b)
+            y = (rng.uniform(-2 * f_max, 2 * f_max, 11) if logit_mode
+                 else rng.uniform(-0.5, 1.5, 11))
+            clipped = np.clip(y, lo, hi)
+            assert (clipped != y).any()
+            a = np.array(_rhs(*y.tolist(), 4.65, k, f_max, logit_mode))
+            b = np.array(_rhs(*clipped.tolist(), 4.65, k, f_max, logit_mode))
             assert np.isfinite(a).all()
             assert a.tobytes() == b.tobytes()
 
 
-def reference_rhs(y, pot, k, f_max, logit, out, partials=None):
+def reference_rhs(v, pot, k, f_max, logit, partials=None):
     """The right-hand side as written out before it was generated: the
-    reference the generated ``_stepper._rhs`` must equal bit for bit."""
+    reference the generated ``_stepper._rhs`` must equal bit for bit.
+    ``v`` holds the eleven adjustment coordinates; returns the 14 rates."""
     partials = partials or _partials
-    v = y[:11].tolist()
     if logit:
         fl = [1.0 / (1.0 + math.exp(f_max if x <= -f_max else
                                     -f_max if x >= f_max else -x))
@@ -182,8 +177,12 @@ def reference_rhs(y, pot, k, f_max, logit, out, partials=None):
         g = partials(fl, pot)
         row = [ki * fi * (1 - fi) * gi for ki, fi, gi in zip(k, fl, g)]
     # profit accumulation dp_i/dt = E_i
-    row += [e / 24.0 for e in _profits(fl, pot, g)]
-    out[:] = row
+    return (*row, *(e / 24.0 for e in _profits(fl, pot, g)))
+
+
+def _reference_rhs_args(*args):
+    """``reference_rhs`` called as ``_stepper._rhs`` is."""
+    return reference_rhs(args[:11], *args[11:])
 
 
 def rhs_states(rng, logit_mode: bool, f_max: float):
@@ -216,9 +215,9 @@ class TestGeneratedRhs:
         from kuhn3._stepper import _rhs
 
         for y, pot, k in rhs_states(rng, logit_mode, f_max):
-            a, b = np.empty(14), np.empty(14)
-            reference_rhs(y, pot, k, f_max, logit_mode, a)
-            _rhs(y, pot, k, f_max, logit_mode, b)
+            v = y[:11].tolist()
+            a = np.array(reference_rhs(v, pot, k, f_max, logit_mode))
+            b = np.array(_rhs(*v, pot, k, f_max, logit_mode))
             assert a.tobytes() == b.tobytes()
 
     @pytest.mark.parametrize("logit_mode", [True, False])
@@ -233,7 +232,7 @@ class TestGeneratedRhs:
         args = (y0, 3.1, np.ones(11), 100, cfg.dt_sample, cfg.rtol, cfg.atol,
                 cfg.f_max, logit_mode, cfg.h0, cfg.h_min)
         got = _stepper.integrate_core(*args)
-        monkeypatch.setattr(_stepper, "_rhs", reference_rhs)
+        monkeypatch.setattr(_stepper, "_rhs", _reference_rhs_args)
         want = _stepper.integrate_core(*args)
         assert got[0].tobytes() == want[0].tobytes()
         assert got[1:] == want[1:]
@@ -251,10 +250,11 @@ class TestGeneratedRhs:
         changed = 0
         for logit_mode, f_max in ((True, 40.0), (False, 40.0)):
             for y, pot, k in rhs_states(rng, logit_mode, f_max):
-                a, b, c = np.empty(14), np.empty(14), np.empty(14)
-                reference_rhs(y, pot, k, f_max, logit_mode, a, partials)
-                rhs(y, pot, k, f_max, logit_mode, b)
-                _stepper._rhs(y, pot, k, f_max, logit_mode, c)
+                v = y[:11].tolist()
+                a = np.array(reference_rhs(v, pot, k, f_max, logit_mode,
+                                           partials))
+                b = np.array(rhs(*v, pot, k, f_max, logit_mode))
+                c = np.array(_stepper._rhs(*v, pot, k, f_max, logit_mode))
                 assert a.tobytes() == b.tobytes()
                 changed += b.tobytes() != c.tobytes()
         assert changed > 0
@@ -279,6 +279,174 @@ class TestGeneratedRhs:
         a, b = 2 * x - y, 2 * x - y
         assert a is b and list(ops) == [("2", "*", "x"), ("t0", "-", "y")]
         assert (x * 2) is not (2 * x) and (2.0 * x) is not (2 * x)
+
+
+def reference_core(y0, pot, k, n_samples, dt_sample, rtol, atol, f_max,
+                   logit, h0, h_min):
+    """The Dormand-Prince loop as plain loops over the tableau lists: the
+    arithmetic ``_stepper.integrate_core`` is generated to do.  h is folded
+    into each row, a stage state is y + (sum of (a_l*h) * K_l) left to right
+    over the nonzero entries, and the error norm sums q_i**2 left to right;
+    the larger of |y| and |y_new|, the clamp and a division by zero follow
+    numpy.  Returns ``integrate_core``'s result and the attempted steps."""
+    from kuhn3._stepper import _A, _EC, STATUS_OK, STATUS_STEP_UNDERFLOW
+
+    def rhs(v):
+        return reference_rhs(v[:11], pot, k, f_max, logit)
+
+    lo, hi = (-f_max, f_max) if logit else (0.0, 1.0)
+    k = [float(x) for x in k]
+    y = [float(x) for x in y0]
+    ys = [y]
+    K = [rhs(y)] + [None] * 6
+    h_min = max(h_min, sys.float_info.min)
+    t, h, n_steps, attempts = 0.0, h0, 0, 0
+    while len(ys) <= n_samples:
+        t_target = len(ys) * dt_sample
+        hit = h >= t_target - t
+        if hit:
+            h = t_target - t
+        attempts += 1
+        for i in range(1, 7):
+            row = [(l, a * h) for l, a in enumerate(_A[i]) if a]
+            # the stages before the last are read at the 11 coordinates only
+            z = [y[c] + functools.reduce(
+                     operator.add, [ha * K[l][c] for l, ha in row])
+                 for c in range(14 if i == 6 else 11)]
+            K[i] = rhs(z)
+        row = [(l, e * h) for l, e in enumerate(_EC) if e]
+        q = []
+        with np.errstate(all="ignore"):
+            for c in range(14):
+                err = functools.reduce(operator.add,
+                                       [he * K[l][c] for l, he in row])
+                scale = float(np.maximum(abs(y[c]), abs(z[c]))) * rtol + atol
+                q.append(float(np.divide(err, scale)))
+        errn = math.sqrt(functools.reduce(operator.add,
+                                          [x * x for x in q]) / 14)
+        if errn <= 1.0:
+            t = t_target if hit else t + h
+            y = [float(np.minimum(np.maximum(x, lo), hi)) for x in z[:11]]
+            y += z[11:]
+            K[0] = K[6]
+            n_steps += 1
+            if hit:
+                ys.append(y)
+        if not math.isfinite(errn):
+            fac = 0.2
+        elif errn > 0.0:
+            fac = min(5.0, max(0.2, 0.9 * errn ** -0.2))
+        else:
+            fac = 5.0
+        h *= fac
+        if h < h_min:
+            return (np.array(ys), n_steps, STATUS_STEP_UNDERFLOW, t), attempts
+    return (np.array(ys), n_steps, STATUS_OK, t), attempts
+
+
+def _core_args(case: str, logit_mode: bool) -> tuple:
+    """``integrate_core`` arguments of a named reference-loop case."""
+    cfg = IntegratorConfig()
+    f_max, pot, n, h0 = cfg.f_max, 3.1, 40, cfg.h0
+    rtol, atol = cfg.rtol, cfg.atol
+    k = np.ones(11)
+    f0 = np.array(random_initial_profile(54).as_tuple())
+    if case == "gains-clamp":
+        # f_max = 2 clips b1, d1 and c3 of profile 1 from the start; in
+        # direct coordinates the clamp meets states outside [0, 1]
+        f_max, pot, h0 = 2.0, 4.65, 0.5
+        k = np.random.default_rng(3).uniform(0.2, 3.0, 11)
+        f0 = np.array(random_initial_profile(1).as_tuple())
+        if not logit_mode:
+            f0[:2] = 1.5, -0.25
+    elif case == "zero-tolerances":
+        rtol = atol = 0.0
+    elif case == "nan-rtol":
+        rtol = math.nan
+    y0 = np.zeros(14)
+    y0[:11] = logit(f0, f_max) if logit_mode else f0
+    if case == "nan-profit":
+        y0[12] = math.nan
+    return (y0, pot, k, n, cfg.dt_sample, rtol, atol, f_max, logit_mode, h0,
+            cfg.h_min)
+
+
+class TestGeneratedCore:
+    """``_stepper.integrate_core`` is generated from the tableau; it must
+    give the bytes, steps and status of the loop written out plainly."""
+
+    @pytest.mark.parametrize("logit_mode", [True, False])
+    @pytest.mark.parametrize("case", ["unit-gains", "gains-clamp",
+                                      "zero-tolerances", "nan-rtol",
+                                      "nan-profit"])
+    def test_equal_to_the_reference_loop(self, monkeypatch, case,
+                                         logit_mode):
+        from kuhn3 import _stepper
+
+        calls = []
+        rhs = _stepper._rhs
+
+        def counting_rhs(*args):
+            calls.append(1)
+            return rhs(*args)
+
+        args = _core_args(case, logit_mode)
+        monkeypatch.setattr(_stepper, "_rhs", counting_rhs)
+        got = _stepper.integrate_core(*args)
+        want, attempts = reference_core(*args)
+        assert got[0].tobytes() == want[0].tobytes()
+        assert got[1:] == want[1:]
+        assert len(calls) == 1 + 6 * attempts
+        if case in ("unit-gains", "gains-clamp"):
+            assert got[2] == _stepper.STATUS_OK
+        else:
+            # every error norm is nan or inf: each step is rejected
+            assert got[2] == _stepper.STATUS_STEP_UNDERFLOW
+            assert got[1] == 0 and attempts > 0
+        if case == "gains-clamp":
+            assert attempts > got[1]  # some step was rejected
+            ys, f_max = got[0], args[7]
+            if logit_mode:
+                assert (np.abs(ys[1:, :11]) == f_max).any()
+            else:
+                assert ys[1:, :2].tolist() == [[1.0, 0.0]] * 40
+
+    def test_benchmark_tracer_sees_every_rhs_call(self):
+        # perfbench/spans.py wraps _stepper._rhs and integrate_core by
+        # name; its stepper metrics need every RHS call to go through the
+        # module global and to nest inside integrate_core
+        import importlib.util
+        import pathlib
+
+        from kuhn3 import dynamics
+
+        path = (pathlib.Path(__file__).resolve().parents[1] / "perfbench"
+                / "spans.py")
+        spec = importlib.util.spec_from_file_location("_bench_spans", path)
+        spans = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(spans)
+        tracer = spans.Tracer()
+        tracer.install()
+        try:
+            traj = dynamics.integrate(random_initial_profile(1), 2.5, 20.0)
+        finally:
+            tracer.uninstall()
+        rhs = [r for r in tracer.spans if r[spans.NAME] == "_stepper._rhs"]
+        assert rhs and all(r[spans.PARENT][spans.NAME]
+                           == "_stepper.integrate_core" for r in rhs)
+        y0 = np.zeros(14)
+        y0[:11] = logit(np.array(random_initial_profile(1).as_tuple()))
+        cfg = traj.config
+        (ys, n_steps, _, _), attempts = reference_core(
+            y0, 2.5, np.ones(11), traj.n_samples - 1, cfg.dt_sample,
+            cfg.rtol, cfg.atol, cfg.f_max, True, cfg.h0, cfg.h_min)
+        assert ys[:, :11].tobytes() == traj.logits.tobytes()
+        assert n_steps == traj.n_steps
+        assert len(rhs) == 1 + 6 * attempts
+        metrics, missing = spans.per_layer_metrics(
+            tracer.spans, 1, tracer.missing, [1.0], [1.0])
+        assert missing == []
+        assert metrics["stepper.rhs_calls"]["value"] == len(rhs)
 
 
 #: setting values a user might mistype, beside plain ones
@@ -370,7 +538,7 @@ class TestIntegrate:
 
         def counting_rhs(*args):
             calls.append(1)
-            rhs(*args)
+            return rhs(*args)
 
         monkeypatch.setattr(_stepper, "_rhs", counting_rhs)
         f_max = 2.0
@@ -448,6 +616,17 @@ class TestIntegrate:
             traj = integrate(random_initial_profile(1), 2.5, 10.0, config=cfg)
         assert np.isfinite(traj.logits).all()
         assert np.isfinite(traj.profits).all()
+
+    def test_integration_time_is_bounded(self):
+        from kuhn3.dynamics import T_END_MAX, sample_count
+
+        assert sample_count(T_END_MAX, 1e4) == 101
+        with pytest.raises(ValueError, match="longest integration time"):
+            sample_count(math.nextafter(T_END_MAX, math.inf), 1e4)
+        # 1001 samples, within MAX_SAMPLES, but an integration to 1e300
+        with pytest.raises(ValueError, match="longest integration time"):
+            integrate(random_initial_profile(1), 2.5, 1e300,
+                      config=IntegratorConfig(dt_sample=1e297))
 
     def test_sampling_interval_longer_than_the_run_is_rejected(self):
         p0 = random_initial_profile(1)
