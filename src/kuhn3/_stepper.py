@@ -12,8 +12,10 @@ straight-line Python-float code; ``inspect.getsource`` shows either.
 
 The right-hand side ``_rhs`` evaluates the one transcription of the profit
 polynomials in :mod:`kuhn3.analytic_ev`: ``_partials`` and ``_profits`` run
-once on recording values (:class:`_Rec`), and their arithmetic becomes the
-body of ``_rhs``, one local statement per float operation, with no calls,
+once on the symbolic values that also print the catalog formulas
+(:class:`kuhn3.analytic_ev._Expr`), and :func:`_lower` turns their trees
+into the body of ``_rhs``, one local statement per float operation (a
+``+``, ``-`` or ``*``; anything else is a ``TypeError``), with no calls,
 loops or tuples between the clamp of the eleven coordinates it takes and
 the tuple of fourteen rates it returns.  It performs the same IEEE
 operations in the same order as the transcription run on floats, so it
@@ -56,7 +58,7 @@ import types
 
 import numpy as np
 
-from .analytic_ev import _partials, _profits
+from .analytic_ev import _Expr, _partials, _profits
 from .game_model import FREQ_NAMES
 
 STATUS_OK = 0
@@ -84,68 +86,6 @@ _A = (
 _EC = tuple(b5 - b4 for b5, b4 in zip(_B5, _B4))
 
 
-class _Rec:
-    """A float local of the generated right-hand side.
-
-    The recording duck type of the profit transcription, beside floats,
-    arrays and sympy symbols.  Each ``+``, ``-`` or ``*`` with another
-    recorded value or an int or float constant adds one statement
-    ``tN = a op b`` to the recording ``ops`` (a dict from ``(a, op, b)``
-    to its result), in Python's evaluation order, and returns ``tN``.  An
-    operation already recorded on the same operands returns the earlier
-    result: it is the same IEEE operation on the same values, so it gives
-    the same bits.  Every other operation raises ``TypeError``.
-    """
-
-    __slots__ = ("name", "_ops")
-    # numpy scalars and arrays defer to the operators below, which refuse them
-    __array_ufunc__ = None
-
-    def __init__(self, name: str, ops: dict):
-        self.name = name
-        self._ops = ops
-
-    def _emit(self, a, op, b):
-        key = (_operand(a), op, _operand(b))
-        if None in key:
-            return NotImplemented
-        rec = self._ops.get(key)
-        if rec is None:
-            rec = self._ops[key] = _Rec(f"t{len(self._ops)}", self._ops)
-        return rec
-
-    def __add__(self, other):
-        return self._emit(self, "+", other)
-
-    def __radd__(self, other):
-        return self._emit(other, "+", self)
-
-    def __sub__(self, other):
-        return self._emit(self, "-", other)
-
-    def __rsub__(self, other):
-        return self._emit(other, "-", self)
-
-    def __mul__(self, other):
-        return self._emit(self, "*", other)
-
-    def __rmul__(self, other):
-        return self._emit(other, "*", self)
-
-    def _unsupported(self, *_):
-        raise TypeError("the recorded right-hand side is straight-line "
-                        "+, - and * only")
-
-    # a truth value or an equality would branch or drop the arithmetic
-    __bool__ = __eq__ = __ne__ = _unsupported
-
-
-def _operand(v):
-    if isinstance(v, _Rec):
-        return v.name
-    return repr(v) if type(v) in (int, float) else None
-
-
 def _compile(name: str, lines: list):
     """Compile generated source; tracebacks and ``inspect.getsource`` show
     its lines."""
@@ -156,20 +96,46 @@ def _compile(name: str, lines: list):
     return compile(source, filename, "exec")
 
 
+def _lower(x, ops: dict) -> str:
+    """The name of the float local holding ``x`` in the generated code.
+
+    ``x`` is a tree of :class:`_Expr` nodes, lowered in post-order: a leaf
+    gives its name, an int or float constant its ``repr``, and a ``+``,
+    ``-`` or ``*`` node the result of one statement ``tN = a op b``, kept
+    in ``ops`` (a dict from ``(a, op, b)`` to ``tN``) in the order Python
+    built the nodes.  A node already lowered on the same operands gives the
+    earlier result: it is the same IEEE operation on the same values, so it
+    gives the same bits.  Anything else raises ``TypeError``.
+    """
+    if isinstance(x, _Expr):
+        if not x.args:
+            return x.op
+        if x.op in ("+", "-", "*"):
+            a, b = (_lower(v, ops) for v in x.args)
+            return ops.setdefault((a, x.op, b), f"t{len(ops)}")
+    elif type(x) in (int, float):
+        return repr(x)
+    what = x.op if isinstance(x, _Expr) else type(x).__name__
+    raise TypeError("the generated right-hand side is straight-line "
+                    f"+, - and * on int and float constants only, not {what}")
+
+
 def _build_rhs():
     """Generate ``_rhs(<11 coordinates>, pot, k, f_max, logit)`` from the
     profit transcription: :func:`_partials` and :func:`_profits` run once on
-    :class:`_Rec` values, and their recorded operations become one
+    :class:`_Expr` leaves, and :func:`_lower` turns their trees into one
     straight-line function body between the clamp of each coordinate and
     the returned tuple of the fourteen rates."""
-    ops: dict = {}
-    f = [_Rec(n, ops) for n in FREQ_NAMES]
-    pot = _Rec("pot", ops)
+    f = [_Expr(n) for n in FREQ_NAMES]
+    pot = _Expr("pot")
     g = _partials(f, pot)
     e = _profits(f, pot, g)
+    ops: dict = {}
+    g = [_lower(g_i, ops) for g_i in g]
+    e = [_lower(e_i, ops) for e_i in e]
     ys = [f"y_{n}" for n in FREQ_NAMES]
     ks = [f"k_{n}" for n in FREQ_NAMES]
-    rates = [e_i.name + " / 24.0" for e_i in e]
+    rates = [f"{e_i} / 24.0" for e_i in e]
     lines = [
         f"def _rhs({', '.join(ys)}, pot, k, f_max, logit):",
         f"    {', '.join(ks)} = k",
@@ -180,12 +146,12 @@ def _build_rhs():
         "    else:",
         *(f"        {n} = 0.0 if {x} <= 0.0 else 1.0 if {x} >= 1.0 else {x}"
           for n, x in zip(FREQ_NAMES, ys)),
-        *(f"    {r.name} = {a} {op} {b}" for (a, op, b), r in ops.items()),
+        *(f"    {r} = {a} {op} {b}" for (a, op, b), r in ops.items()),
         "    if logit:",
         "        return ({})".format(", ".join(
-            [f"{k_i} * {g_i.name}" for k_i, g_i in zip(ks, g)] + rates)),
+            [f"{k_i} * {g_i}" for k_i, g_i in zip(ks, g)] + rates)),
         "    return ({})".format(", ".join(
-            [f"{k_i} * {n} * (1 - {n}) * {g_i.name}"
+            [f"{k_i} * {n} * (1 - {n}) * {g_i}"
              for k_i, n, g_i in zip(ks, FREQ_NAMES, g)] + rates)),
     ]
     namespace = {"__name__": __name__, "exp": math.exp}

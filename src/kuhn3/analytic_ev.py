@@ -66,13 +66,47 @@ class GradientVector(NamedTuple):
         return np.array(self)
 
 
+class _Expr:
+    """A symbolic value: a formula as a tree of + - * / ^ and calls, built
+    by running plain arithmetic on ``_Expr`` leaves (``np.sqrt`` calls
+    :meth:`sqrt`).  A leaf is a name: a frequency, the pot, or a free
+    parameter pinned at ``pin`` for a family's branch to compare.  The
+    catalog prints its family formulas from such trees, and
+    :mod:`kuhn3._stepper` lowers the trees of :func:`_partials` and
+    :func:`_profits` to the statements of its right-hand side.  It has no
+    truth value: a branch on one would fix a single path into the tree."""
+
+    def __init__(self, op: str, *args, pin=None):
+        self.op, self.args, self.pin, self.compared = op, args, pin, False
+
+    def __add__(self, other): return _Expr("+", self, other)
+    def __radd__(self, other): return _Expr("+", other, self)
+    def __sub__(self, other): return _Expr("-", self, other)
+    def __rsub__(self, other): return _Expr("-", other, self)
+    def __mul__(self, other): return _Expr("*", self, other)
+    def __rmul__(self, other): return _Expr("*", other, self)
+    def __truediv__(self, other): return _Expr("/", self, other)
+    def __rtruediv__(self, other): return _Expr("/", other, self)
+
+    def sqrt(self):
+        return _Expr("sqrt", self)
+
+    def __le__(self, other):
+        self.compared = True
+        return self.pin <= other
+
+    def __bool__(self):
+        raise TypeError("a symbolic value has no truth value")
+
+
 def _partials(f, P) -> tuple:
     """Scaled partials 24 * dE_owner/df in canonical frequency order.
 
     Duck-typed: ``f`` unpacks into the eleven frequencies and ``P`` is the
     pot, as Python floats, numpy arrays (batched evaluation), sympy
-    symbols, or the recording values from which :mod:`kuhn3._stepper`
-    generates its right-hand side (so only ``+``, ``-`` and ``*``).
+    symbols, or :class:`_Expr` leaves, from whose trees
+    :mod:`kuhn3._stepper` generates its right-hand side (so only ``+``,
+    ``-``, ``*`` and int or float constants, and no branch).
     """
     a1, b1, c1, d1, a2, b2, c2, d2, b3, c3, d3 = f
     return (

@@ -19,7 +19,9 @@ frequency dict and draws every free parameter from ``free`` (a
 supplied values and :func:`free_parameters` lists the intervals.
 :func:`profile_rows` runs a family once on an array of pots, bit for bit
 like :func:`instantiate`, and :attr:`EquilibriumSolution.formulas` runs it
-on printing values (:class:`_Expr`) to state it as text.
+on symbolic values (:class:`kuhn3.analytic_ev._Expr`, the package's one
+symbolic value type, which also generates the integrator's right-hand
+side) to state it as text.
 
 Three pot ranges admit three coexisting interval families:
 (P3, P4), (P6, 4) and (P8, P9), with the critical pots
@@ -40,6 +42,7 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from . import analytic_ev
+from .analytic_ev import _Expr
 from .game_model import (FREQ_NAMES, FREQ_TOL, ProfitVector,
                          StrategyProfile, check_pot, check_pots)
 
@@ -303,32 +306,6 @@ SOLUTION_IDS = tuple(_CATALOG)
 
 # -- formulas as text --------------------------------------------------------
 
-class _Expr:
-    """A printing value: a formula as a tree of + - * / ^ and calls, which
-    a family run on ``_Expr`` values builds (``np.sqrt`` calls :meth:`sqrt`).
-    A leaf is a name: the pot, or a free parameter pinned at ``pin`` for a
-    family's branch to compare."""
-
-    def __init__(self, op: str, *args, pin=None):
-        self.op, self.args, self.pin, self.compared = op, args, pin, False
-
-    def __add__(self, other): return _Expr("+", self, other)
-    def __radd__(self, other): return _Expr("+", other, self)
-    def __sub__(self, other): return _Expr("-", self, other)
-    def __rsub__(self, other): return _Expr("-", other, self)
-    def __mul__(self, other): return _Expr("*", self, other)
-    def __rmul__(self, other): return _Expr("*", other, self)
-    def __truediv__(self, other): return _Expr("/", self, other)
-    def __rtruediv__(self, other): return _Expr("/", other, self)
-
-    def sqrt(self):
-        return _Expr("sqrt", self)
-
-    def __le__(self, other):
-        self.compared = True
-        return self.pin <= other
-
-
 _PREC = {"+": 1, "-": 1, "*": 2, "/": 2, "^": 3}
 
 
@@ -404,18 +381,11 @@ def free_parameters(sol_id: str, pot: float,
     """Free parameters of a family at ``pot`` in resolution order.
 
     ``chosen`` supplies values for earlier parameters when the bounds of a
-    later one depend on them; unsupplied parameters resolve to midpoints
-    for the purpose of listing what follows.
+    later one depend on them, checked as :func:`instantiate` checks them;
+    unsupplied parameters resolve to midpoints for the purpose of listing
+    what follows.
     """
-    sol = solution(sol_id)
-    pot = _check_in_range(sol, pot)
-    chosen = dict(chosen or {})
-    free = _Free(lambda p: chosen.get(p.name, p.midpoint))
-    try:
-        sol.family(pot, free)
-    except _PotTooLarge:  # families draw parameters before such powers
-        pass
-    return free.params
+    return _resolve(sol_id, pot, chosen)[1]
 
 
 def _check_in_range(sol: EquilibriumSolution, pot: float) -> float:
@@ -428,17 +398,18 @@ def _check_in_range(sol: EquilibriumSolution, pot: float) -> float:
     return pot
 
 
-def instantiate(sol_id: str, pot: float,
-                free_params: dict | None = None) -> StrategyProfile:
-    """Build the full profile of a solution family at a given pot.
+def _resolve(sol_id: str, pot: float, supplied: dict | None) -> tuple:
+    """(frequencies, free parameters) of a family at ``pot``, each free
+    parameter at its supplied value, else at its midpoint.
 
-    Unspecified free parameters default to the midpoint of their
-    admissible interval.  Raises :class:`PotOutOfRange` or
-    :class:`FreeParamViolation`.
+    Raises :class:`PotOutOfRange`, or :class:`FreeParamViolation` for a
+    value outside its interval or a name the family does not draw.  Where
+    a power of the pot overflows, the frequencies are that
+    :class:`_PotTooLarge`: the families draw their parameters first.
     """
     sol = solution(sol_id)
     pot = _check_in_range(sol, pot)
-    supplied = dict(free_params or {})
+    supplied = dict(supplied or {})
 
     def value(param: FreeParam) -> float:
         if param.name not in supplied:
@@ -450,14 +421,28 @@ def instantiate(sol_id: str, pot: float,
                 f"[{param.lo:g}, {param.hi:g}] at P={pot:g}")
         return min(param.hi, max(param.lo, v))
 
+    free = _Free(value)
     try:
-        freqs = sol.family(pot, _Free(value))
-    except _PotTooLarge:
-        if not supplied:  # else an unknown parameter is the first fault
-            raise
+        freqs = sol.family(pot, free)
+    except _PotTooLarge as exc:
+        freqs = exc
     if supplied:
         raise FreeParamViolation(
             f"{sol_id}: unknown free parameters {sorted(supplied)}")
+    return freqs, free.params
+
+
+def instantiate(sol_id: str, pot: float,
+                free_params: dict | None = None) -> StrategyProfile:
+    """Build the full profile of a solution family at a given pot.
+
+    Unspecified free parameters default to the midpoint of their
+    admissible interval.  Raises :class:`PotOutOfRange` or
+    :class:`FreeParamViolation`.
+    """
+    freqs, _ = _resolve(sol_id, pot, free_params)
+    if isinstance(freqs, _PotTooLarge):
+        raise freqs
     return StrategyProfile.from_dict(freqs)
 
 

@@ -92,6 +92,9 @@ def _load_gains(path: str | None):
     try:
         with open(path) as fh:
             data = json.load(fh)
+        if not isinstance(data, (dict, list)):
+            raise TypeError("expected a JSON object or list of gains, got "
+                            f"{type(data).__name__}")
         return dynamics.gains_array(data)
     except OSError as exc:
         raise CliError(f"cannot read gains file: {exc}")
@@ -183,10 +186,13 @@ def cmd_simulate(args) -> int:
         cls = dynamics.classify(traj)
     except dynamics.InsufficientData:
         cls = None
-    if args.format == "csv":
-        traj.to_csv(out)
-    else:
-        traj.to_json(out, classification=cls)
+    try:
+        if args.format == "csv":
+            traj.to_csv(out)
+        else:
+            traj.to_json(out, classification=cls)
+    except OSError as exc:
+        raise CliError(f"cannot write {out}: {exc.strerror or exc}")
     print(f"wrote {out} ({traj.n_samples} samples, t_end={traj.t_end:g})")
     if cls is None:
         print("classification: unavailable (trajectory too short)")
@@ -303,11 +309,14 @@ def cmd_sweep(args) -> int:
     except (dynamics.StepSizeUnderflow, stability.NoConvergence) as exc:
         raise CliError(f"numerical failure during sweep: {exc}",
                        EXIT_NUMERICAL)
-    with open(out, "w", newline="") as fh:
-        fh.write(_SWEEP_HEADERS[args.what] + "\n")
-        for chunk in chunks:
-            for row in chunk:
-                fh.write(row + "\n")
+    try:
+        with open(out, "w", newline="") as fh:
+            fh.write(_SWEEP_HEADERS[args.what] + "\n")
+            for chunk in chunks:
+                for row in chunk:
+                    fh.write(row + "\n")
+    except OSError as exc:
+        raise CliError(f"cannot write {out}: {exc.strerror or exc}")
     nrows = sum(len(c) for c in chunks)
     print(f"wrote {out} ({nrows} rows over {len(grid)} pot values)")
     return EXIT_OK

@@ -52,9 +52,9 @@ class Verdict(enum.Enum):
     CENTRE_MANIFOLD_STABLE = "CentreManifoldStable"
 
     @classmethod
-    def of(cls, max_real_part: float, re_tol: float = RE_TOL) -> "Verdict":
-        """Unstable iff some eigenvalue has real part above ``re_tol``."""
-        return (cls.UNSTABLE if max_real_part > re_tol
+    def of(cls, max_real_part: float) -> "Verdict":
+        """Unstable iff some eigenvalue has real part above ``RE_TOL``."""
+        return (cls.UNSTABLE if max_real_part > RE_TOL
                 else cls.CENTRE_MANIFOLD_STABLE)
 
 
@@ -129,8 +129,7 @@ class StabilityReport:
         }
 
 
-def spectra(profile, pot, gains=None, re_tol: float = RE_TOL,
-            im_tol: float = IM_TOL) -> tuple:
+def spectra(profile, pot, gains=None) -> tuple:
     """(eigenvalues, max_real_part, oscillatory_pairs, zero_modes) of the
     Jacobian at ``profile``, eigenvalues by descending real part, counted
     as in :class:`StabilityReport`.  For (n, 11) frequency rows and n pots,
@@ -138,19 +137,17 @@ def spectra(profile, pot, gains=None, re_tol: float = RE_TOL,
     lam = eigenvalues(jacobian(profile, pot, gains))
     lam = np.take_along_axis(lam, np.argsort(-lam.real, axis=-1), axis=-1)
     max_re = lam.real.max(axis=-1)
-    pairs = np.count_nonzero((np.abs(lam.real) <= re_tol)
-                             & (lam.imag > im_tol), axis=-1)
-    zeros = np.count_nonzero(np.abs(lam) <= re_tol, axis=-1)
+    pairs = np.count_nonzero((np.abs(lam.real) <= RE_TOL)
+                             & (lam.imag > IM_TOL), axis=-1)
+    zeros = np.count_nonzero(np.abs(lam) <= RE_TOL, axis=-1)
     return lam, max_re, pairs, zeros
 
 
 def classify_equilibrium(sol_id: str, pot: float, free_params=None,
-                         gains=None, re_tol: float = RE_TOL,
-                         im_tol: float = IM_TOL) -> StabilityReport:
+                         gains=None) -> StabilityReport:
     """Linear stability report for a catalog solution at ``pot``."""
     profile = catalog.instantiate(sol_id, pot, free_params)
-    lam, max_re, pairs, zeros = spectra(profile, pot, gains, re_tol, im_tol)
+    lam, max_re, pairs, zeros = spectra(profile, pot, gains)
     max_re = float(max_re)
     return StabilityReport(sol_id, float(pot), tuple(lam), max_re, int(pairs),
-                           int(zeros), Verdict.of(max_re, re_tol), re_tol,
-                           im_tol)
+                           int(zeros), Verdict.of(max_re))

@@ -167,6 +167,18 @@ class TestInstantiate:
         with pytest.raises(FreeParamViolation):
             instantiate("9", 4.5, {"c1": 0.1})  # below (P-1)/(P+1)
 
+    def test_free_parameters_checks_chosen_values(self):
+        # the rule of instantiate: a value outside its interval, or a name
+        # the family does not draw, is an error, not a listing from it
+        with pytest.raises(FreeParamViolation, match="a2=5 outside"):
+            free_parameters("2a", 3.0, {"a2": 5})
+        with pytest.raises(FreeParamViolation, match="unknown.*'zz'"):
+            free_parameters("2a", 3.0, {"zz": 5})
+        with pytest.raises(FreeParamViolation, match="unknown.*'c1'"):
+            free_parameters("10a", 5.0, {"b1": 0.35, "c1": 0.9})
+        c2d3 = {p.name: p for p in free_parameters("2a", 3.0, {"a2": 0.5})}
+        assert c2d3["c2_plus_d3"][1:] == (0.5, 0.75)
+
     def test_unknown_solution(self):
         with pytest.raises(KeyError):
             instantiate("11", 5.0)

@@ -203,12 +203,24 @@ class TestSimulate:
 
     def test_bad_gains_file(self, capsys, tmp_path):
         gains = tmp_path / "gains.json"
-        gains.write_text(json.dumps({"zz": 1.0}))
-        code, _, err = run_cli(capsys, "simulate", "--pot", "2.5",
-                               "--seed", "1", "--t-end", "100",
-                               "--gains", str(gains))
+        # JSON null is neither an object nor a list: not the default gains
+        for doc in ({"zz": 1.0}, None):
+            gains.write_text(json.dumps(doc))
+            code, _, err = run_cli(capsys, "simulate", "--pot", "2.5",
+                                   "--seed", "1", "--t-end", "100",
+                                   "--gains", str(gains))
+            assert code == 2, doc
+            assert err.startswith("error: bad gains file"), doc
+
+    def test_unwritable_out_is_a_usage_error(self, capsys, tmp_path):
+        out = tmp_path / "missing" / "x.csv"
+        code, stdout, err = run_cli(capsys, "simulate", "--pot", "2.5",
+                                    "--seed", "1", "--t-end", "10",
+                                    "--out", str(out))
         assert code == 2
-        assert "gains" in err
+        assert err == (f"error: cannot write {out}: "
+                       "No such file or directory\n")
+        assert stdout == ""
 
     def test_seed_from_environment(self, capsys, tmp_path, monkeypatch):
         monkeypatch.setenv("KUHN3_SEED", "9")
@@ -375,6 +387,15 @@ class TestSweep:
                        "time, 1e+06\n")
         assert started == []
         assert not out.exists()
+
+    def test_directory_as_out_is_a_usage_error(self, capsys, tmp_path):
+        code, stdout, err = run_cli(capsys, "sweep", "--pot-min", "2",
+                                    "--pot-max", "3", "--step", "0.5",
+                                    "--what", "profits", "--out",
+                                    str(tmp_path))
+        assert code == 2
+        assert err == f"error: cannot write {tmp_path}: Is a directory\n"
+        assert stdout == ""
 
     def test_bad_range_rejected(self, capsys):
         code, _, err = run_cli(capsys, "sweep", "--pot-min", "4",

@@ -260,25 +260,42 @@ class TestGeneratedRhs:
         assert changed > 0
 
     def test_recording_refuses_other_operations(self):
-        from kuhn3._stepper import _Rec
+        from kuhn3._stepper import _Expr, _lower
 
-        x = _Rec("x", {})
+        x = _Expr("x")
         for op in (lambda: -x, lambda: x / 2, lambda: 2 / x, lambda: x ** 2,
                    lambda: abs(x), lambda: float(x), lambda: bool(x),
                    lambda: x == 1.0, lambda: x < 1.0, lambda: x + "1",
                    lambda: x * np.float64(2.0), lambda: np.ones(2) * x,
-                   lambda: x + True):
+                   lambda: x + True, lambda: np.sqrt(x),
+                   lambda: _Expr("max", 0.0, x)):
+            # refused by the operator, or by the lowering of what it gave
             with pytest.raises(TypeError):
-                op()
+                _lower(op(), {})
+        with pytest.raises(TypeError):  # no branch on a symbolic value
+            bool(x)
 
     def test_recording_reuses_an_operation(self):
-        from kuhn3._stepper import _Rec
+        from kuhn3._stepper import _Expr, _lower
 
         ops = {}
-        x, y = _Rec("x", ops), _Rec("y", ops)
-        a, b = 2 * x - y, 2 * x - y
-        assert a is b and list(ops) == [("2", "*", "x"), ("t0", "-", "y")]
-        assert (x * 2) is not (2 * x) and (2.0 * x) is not (2 * x)
+        x, y = _Expr("x"), _Expr("y")
+        a, b = _lower(2 * x - y, ops), _lower(2 * x - y, ops)
+        assert a == b == "t1" and list(ops) == [("2", "*", "x"),
+                                                ("t0", "-", "y")]
+        assert [_lower(v, ops) for v in (x * 2, 2 * x, 2.0 * x)] == [
+            "t2", "t0", "t3"]
+
+    def test_a_division_in_the_transcription_is_refused(self, monkeypatch):
+        from kuhn3 import _stepper
+
+        def partials(f, P):
+            g = _partials(f, P)
+            return (g[0] / 2, *g[1:])
+
+        monkeypatch.setattr(_stepper, "_partials", partials)
+        with pytest.raises(TypeError, match="not /"):
+            _stepper._build_rhs()
 
 
 def reference_core(y0, pot, k, n_samples, dt_sample, rtol, atol, f_max,
