@@ -151,7 +151,10 @@ class _Free:
         if isinstance(total, _Expr):
             return self(name, _Expr("max", 0.0, total - 1.0),
                         _Expr("min", 1.0, total))
-        return self(name, np.maximum(0.0, total - 1.0), np.minimum(1.0, total))
+        if isinstance(total, np.ndarray):
+            return self(name, np.maximum(0.0, total - 1.0),
+                        np.minimum(1.0, total))
+        return self(name, max(0.0, total - 1.0), min(1.0, total))
 
 
 def _freqs(**kw) -> dict:
@@ -172,6 +175,11 @@ def _pow(x, k: int):
         return float(x) ** k
     except OverflowError:
         raise _PotTooLarge(f"pot too large: {x:g}**{k} overflows") from None
+
+
+def _sqrt(x):
+    """``np.sqrt``, as a Python float for a float: both round the same."""
+    return math.sqrt(x) if isinstance(x, float) else np.sqrt(x)
 
 
 # -- family definitions ------------------------------------------------------
@@ -208,7 +216,7 @@ def _family_2(P, free):
 
 def _family_3(P, free):
     disc = _pow(P, 4) - 4 * _pow(P, 3) + 4 * P * P + 12 * P + 12
-    a2 = 0.5 * (4 - P * P + np.sqrt(disc))
+    a2 = 0.5 * (4 - P * P + _sqrt(disc))
     b2 = 2 * a2 / (P + 1)
     b3 = (2 - b2) / (P + a2)
     c2, d3 = free.split("c2", "d3", (2 * P - 4) / (P + 1), b2 + b3)

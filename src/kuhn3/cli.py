@@ -27,7 +27,7 @@ import math
 import os
 import sys
 
-from . import analytic_ev, catalog, dynamics, stability, verify
+from . import _stepper, analytic_ev, catalog, dynamics, stability, verify
 from .game_model import FREQ_COLUMNS, FREQ_NAMES, StrategyProfile, check_pot
 
 EXIT_OK = 0
@@ -265,11 +265,14 @@ def _classification_chunks(grid: list, seed: int, t_end: float,
     the row strings come back.  The first failing row cancels the rows not
     yet started, and the failure of the first failed row in grid order is
     raised.  The imports cost every other command time and memory, so
-    they are made here.
+    they are made here.  The compiled core is loaded (on a cold cache,
+    built) before the fork, so the workers inherit it rather than each
+    building it.
     """
     import concurrent.futures as cf
     import multiprocessing
 
+    _stepper.compiled_core()
     work = functools.partial(_sweep_rows_classification, seed=seed,
                              t_end=t_end, cfg=cfg)
     workers = min(len(grid), len(os.sched_getaffinity(0)))

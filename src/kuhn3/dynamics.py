@@ -62,9 +62,11 @@ TRAJECTORY_CSV_HEADER = ",".join(("t", *FREQ_COLUMNS, "p1", "p2", "p3"))
 #: Most samples one trajectory may hold: 25 times the 40 001 of a t = 20 000
 #: run at dt = 0.5, about 300 MB of arrays.
 MAX_SAMPLES = 10**6
-#: Longest integration time: 50 times the paper's t = 20 000.  At about
-#: 0.2 ms of integration per time unit (one 2-vCPU core, Python 3.11), a
-#: run this long already takes minutes.
+#: Longest integration time: 50 times the paper's t = 20 000.  The
+#: generated Python loop takes about 0.2 ms of integration per time unit
+#: (one core of a 2-vCPU x86-64 host, Python 3.11), so a run this long
+#: takes minutes there; the compiled core takes about 4 us per time unit,
+#: a few seconds.
 T_END_MAX = 1e6
 
 

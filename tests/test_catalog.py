@@ -205,6 +205,19 @@ class TestInstantiate:
         assert p9.lo == pytest.approx(3.65 / 5.65, abs=1e-12)
         assert p9.hi == 1.0
 
+    def test_free_parameter_bounds_are_floats(self):
+        # a float pot lists plain floats, not numpy scalars, as its bounds,
+        # with the free parameters at midpoints and at both ends
+        for sid in SOLUTION_IDS:
+            lo, hi = validity_range(sid)
+            for pot in np.linspace(lo, min(hi, 8.0), 7).tolist():
+                for frac in (0.0, 0.5, 1.0):
+                    chosen = {}
+                    for p in free_parameters(sid, pot, chosen):
+                        assert type(p.lo) is float and type(p.hi) is float, (
+                            sid, pot, p)
+                        chosen[p.name] = p.lo + frac * (p.hi - p.lo)
+
 
 def _grid(step: float) -> list:
     return [2.0 + i * step for i in range(int(round(6.0 / step)) + 1)]

@@ -330,6 +330,21 @@ class TestSweep:
         assert len(want) == 6
         assert out.read_bytes() == "".join(f"{r}\n" for r in want).encode()
 
+    def test_compiled_core_is_loaded_before_the_fork(self, capsys, tmp_path,
+                                                     monkeypatch):
+        # the forked workers inherit the loaded core, so a cold cache is
+        # built once, not by every worker in a race
+        events = []
+        load, fork = _stepper.compiled_core, os.fork
+        monkeypatch.setattr(_stepper, "compiled_core",
+                            lambda: events.append("load") or load())
+        monkeypatch.setattr(os, "fork",
+                            lambda: events.append("fork") or fork())
+        code, _, _ = run_cli(capsys, "sweep", *self.POOLED,
+                             "--out", str(tmp_path / "cls.csv"))
+        assert code == 0
+        assert events[0] == "load" and "fork" in events
+
     def test_underflow_in_a_worker_is_a_numerical_error(self, capsys,
                                                         tmp_path,
                                                         monkeypatch):

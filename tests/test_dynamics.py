@@ -2,9 +2,12 @@ import functools
 import json
 import math
 import operator
+import os
 import pickle
+import shutil
 import subprocess
 import sys
+import time
 import warnings
 
 import numpy as np
@@ -464,6 +467,222 @@ class TestGeneratedCore:
             tracer.spans, 1, tracer.missing, [1.0], [1.0])
         assert missing == []
         assert metrics["stepper.rhs_calls"]["value"] == len(rhs)
+
+
+def _compiled_or_skip():
+    """The loaded compiled core; skips the test where no C compiler is on
+    PATH, since only the Python loop runs there."""
+    from kuhn3 import _stepper
+
+    if shutil.which("cc") is None:
+        pytest.skip("no C compiler (cc) on PATH: only the Python loop runs")
+    core = _stepper.compiled_core()
+    assert core is not None, "cc is on PATH, yet the compiled core failed"
+    return core
+
+
+def _only_compiled(monkeypatch):
+    """Make a run of the Python loop fail the test."""
+    from kuhn3 import _stepper
+
+    def refuse(*args):
+        raise AssertionError("the Python loop ran, not the compiled core")
+
+    monkeypatch.setattr(_stepper, "_python_core", refuse)
+
+
+class TestCompiledCore:
+    """The compiled core is written from the same trees and tableau as the
+    Python loop; it must give its bytes, steps, status and end time."""
+
+    @pytest.mark.parametrize("logit_mode", [True, False])
+    @pytest.mark.parametrize("case", ["unit-gains", "gains-clamp",
+                                      "zero-tolerances", "nan-rtol",
+                                      "nan-profit"])
+    def test_equal_to_the_python_and_reference_loops(self, monkeypatch, case,
+                                                     logit_mode):
+        from kuhn3 import _stepper
+
+        _compiled_or_skip()
+        args = _core_args(case, logit_mode)
+        python = _stepper._python_core(*args)
+        reference, _ = reference_core(*args)
+        _only_compiled(monkeypatch)
+        got = _stepper.integrate_core(*args)
+        for want in (python, reference):
+            assert got[0].tobytes() == want[0].tobytes()
+            assert got[1:] == want[1:]
+            assert type(got[1]) is int and type(got[3]) is float
+
+    @pytest.mark.parametrize("pot,seed,t_end", [(3.1, 54, 1500.0),
+                                                (2.5, 1, 2000.0)])
+    def test_long_orbit_equal(self, monkeypatch, pot, seed, t_end):
+        from kuhn3 import _stepper
+
+        _compiled_or_skip()
+        cfg = IntegratorConfig()
+        y0 = np.zeros(14)
+        y0[:11] = logit(np.array(random_initial_profile(seed).as_tuple()))
+        args = (y0, pot, np.ones(11), int(t_end / cfg.dt_sample),
+                cfg.dt_sample, cfg.rtol, cfg.atol, cfg.f_max, True, cfg.h0,
+                cfg.h_min)
+        python = _stepper._python_core(*args)
+        reference, _ = reference_core(*args)
+        _only_compiled(monkeypatch)
+        got = _stepper.integrate_core(*args)
+        assert got[2] == _stepper.STATUS_OK and got[1] > 9000
+        for want in (python, reference):
+            assert got[0].tobytes() == want[0].tobytes()
+            assert got[1:] == want[1:]
+
+    def test_arguments_the_python_loop_refuses(self):
+        # the Python loop raises on these; so must integrate_core
+        from kuhn3 import _stepper
+
+        _compiled_or_skip()
+        args = list(_core_args("unit-gains", True))
+        args[2] = np.ones(10)
+        with pytest.raises(ValueError):
+            _stepper.integrate_core(*args)
+        args[2], args[7] = np.ones(11), 1000.0
+        args[0][:11] = -1000.0
+        with pytest.raises(OverflowError):
+            _stepper.integrate_core(*args)
+
+
+@pytest.fixture
+def fresh_core(monkeypatch, tmp_path):
+    """``compiled_core`` forgets what it loaded, before the test and after
+    it, and its cache lives under ``tmp_path``."""
+    from kuhn3 import _stepper
+
+    _stepper.compiled_core.cache_clear()
+    monkeypatch.setattr(sys, "pycache_prefix", str(tmp_path / "pycache"))
+    yield _stepper
+    _stepper.compiled_core.cache_clear()
+
+
+class TestCompiledCoreFallback:
+    """Without a usable compiled core the Python loop runs, with the same
+    bytes and nothing written to stdout or stderr: a benchmark worker's
+    last stdout line must stay its JSON result."""
+
+    @staticmethod
+    def orbit():
+        traj = integrate(random_initial_profile(1), 2.5, 20.0)
+        return traj.logits.tobytes() + traj.profits.tobytes(), traj.n_steps
+
+    def python_orbit(self, monkeypatch):
+        from kuhn3 import _stepper
+
+        with monkeypatch.context() as m:
+            m.setattr(_stepper, "compiled_core", lambda: None)
+            return self.orbit()
+
+    def test_no_compiler(self, fresh_core, monkeypatch, capfd):
+        want = self.python_orbit(monkeypatch)
+        monkeypatch.setattr(shutil, "which", lambda *args, **kw: None)
+        assert self.orbit() == want
+        assert fresh_core.compiled_core() is None
+        assert capfd.readouterr() == ("", "")
+
+    def test_cache_directory_cannot_be_made(self, fresh_core, monkeypatch,
+                                            tmp_path, capfd):
+        # tests may run as root, whom chmod does not stop: a path under a
+        # regular file cannot be a directory for anyone
+        want = self.python_orbit(monkeypatch)
+        blocker = tmp_path / "file"
+        blocker.write_text("")
+        monkeypatch.setattr(sys, "pycache_prefix", str(blocker / "cache"))
+        assert self.orbit() == want
+        assert fresh_core.compiled_core() is None
+        assert capfd.readouterr() == ("", "")
+
+    def test_corrupt_cached_library(self, fresh_core, monkeypatch, capfd):
+        want = self.python_orbit(monkeypatch)
+        path = fresh_core._library_path(fresh_core._c_source())
+        os.makedirs(os.path.dirname(path))
+        with open(path, "wb") as fh:
+            fh.write(b"\x7fELF but not a library")
+        assert self.orbit() == want
+        if shutil.which("cc") is not None:  # rebuilt in its place
+            assert fresh_core.compiled_core() is not None
+        assert capfd.readouterr() == ("", "")
+
+    @staticmethod
+    def fake_cc(monkeypatch, tmp_path, script: str) -> str:
+        """A ``cc`` that runs ``script`` as the only compiler on PATH;
+        returns the file it logs each call to."""
+        bindir = tmp_path / "bin"
+        bindir.mkdir()
+        log = tmp_path / "cc.log"
+        cc = bindir / "cc"
+        cc.write_text(f"#!/bin/sh\necho called >> {log}\n{script}\n")
+        cc.chmod(0o755)
+        monkeypatch.setenv("PATH", str(bindir))
+        return log
+
+    def test_failed_build_is_tried_once(self, fresh_core, monkeypatch,
+                                        tmp_path, capfd):
+        want = self.python_orbit(monkeypatch)
+        log = self.fake_cc(monkeypatch, tmp_path,
+                           'echo "cc: error: broken" >&2\necho out\nexit 1')
+        assert self.orbit() == want
+        assert self.orbit() == want
+        assert log.read_text() == "called\n"
+        assert capfd.readouterr() == ("", "")
+        assert not list((tmp_path / "pycache").rglob("*.so"))
+
+    def test_hung_build_times_out(self, fresh_core, monkeypatch, tmp_path,
+                                  capfd):
+        want = self.python_orbit(monkeypatch)
+        sleep = shutil.which("sleep")
+        if sleep is None:
+            pytest.skip("no sleep on PATH to stand in for a hung compiler")
+        self.fake_cc(monkeypatch, tmp_path, f"exec {sleep} 60")
+        monkeypatch.setattr(fresh_core, "_CC_TIMEOUT_S", 0.5)
+        t0 = time.perf_counter()
+        assert self.orbit() == want
+        assert time.perf_counter() - t0 < 30.0
+        assert fresh_core.compiled_core() is None
+        assert capfd.readouterr() == ("", "")
+
+
+def test_commands_that_never_integrate_start_no_compiler(tmp_path,
+                                                         subprocess_env):
+    # importing kuhn3, and the commands that never integrate, load no
+    # library and start no process: equilibrium and tail-classification
+    # work keeps its set-up time and memory
+    profile = tmp_path / "profile.json"
+    profile.write_text(json.dumps(instantiate("2", 3.1).as_dict()))
+    code = (
+        "import sys\n"
+        "import numpy\n"
+        "events = []\n"
+        "watched = ('ctypes.dlopen', 'subprocess.Popen', 'os.fork',\n"
+        "           'os.forkpty', 'os.posix_spawn', 'os.exec', 'os.spawn',\n"
+        "           'os.system')\n"
+        "sys.addaudithook(lambda event, args: event in watched\n"
+        "                 and events.append(event))\n"
+        "import kuhn3\n"
+        "from kuhn3 import _stepper, cli\n"
+        "assert events == [], events\n"
+        "out = sys.argv[2]\n"
+        "for argv in (['equilibria', '--pot', '3.1'],\n"
+        "             ['verify', '--profile', sys.argv[1], '--pot', '3.1'],\n"
+        "             *(['sweep', '--pot-min', '2', '--pot-max', '3',\n"
+        "                '--step', '0.5', '--what', what, '--out', out]\n"
+        "               for what in ('frequencies', 'profits',\n"
+        "                            'stability'))):\n"
+        "    assert cli.main(argv) == 0, argv\n"
+        "assert events == [], events\n"
+        "assert _stepper.compiled_core.cache_info().currsize == 0\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", code, str(profile),
+                           str(tmp_path / "sweep.csv")],
+                          env=subprocess_env, capture_output=True, text=True,
+                          timeout=120)
+    assert proc.returncode == 0, proc.stderr
 
 
 #: setting values a user might mistype, beside plain ones
