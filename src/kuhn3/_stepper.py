@@ -13,10 +13,10 @@ straight-line Python-float code; ``inspect.getsource`` shows either.
 The right-hand side ``_rhs`` evaluates the one transcription of the profit
 polynomials in :mod:`kuhn3.analytic_ev`: ``_partials`` and ``_profits`` run
 once on the symbolic values that also print the catalog formulas
-(:class:`kuhn3.analytic_ev._Expr`), and :func:`_lower` turns their trees
-into the body of ``_rhs``, one local statement per float operation (a
-``+``, ``-`` or ``*``; anything else is a ``TypeError``), with no calls,
-loops or tuples between the clamp of the eleven coordinates it takes and
+(:class:`kuhn3.analytic_ev._Expr`), and ``analytic_ev._lower`` (which
+also writes ``gradient_cross``) turns their trees into the body of
+``_rhs``, one local statement per float operation, with no calls, loops
+or tuples between the clamp of the eleven coordinates it takes and
 the tuple of fourteen rates it returns.  It performs the same IEEE
 operations in the same order as the transcription run on floats, so it
 gives the same bits, without the interpreter's cost of the calls.
@@ -67,7 +67,8 @@ The library goes into this package's bytecode-cache directory, beside the
 ``.pyc`` files and with their trust (``PYTHONPYCACHEPREFIX`` moves it
 too), under a name carrying the hash of the source and the flags that a
 hash-based ``.pyc`` would carry.  It is written to a temporary file,
-moved into place and loaded with ``ctypes``.
+moved into place and loaded with ``ctypes``; a build then removes the
+libraries of other sources from that directory.
 
 :func:`integrate_core` dispatches.  The compiled core runs when it loaded
 and ``_rhs`` is still the generated function.  Otherwise the Python loop
@@ -82,19 +83,19 @@ overflows) also go to the Python loop, so they raise as before.
 
 from __future__ import annotations
 
+import contextlib
 import functools
 import importlib.util
 import itertools
-import linecache
 import math
 import os
+import re
 import sys
-import types
 from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .analytic_ev import _Expr, _partials, _profits
+from .analytic_ev import _compile, _Expr, _lower, _partials, _profits
 from .game_model import FREQ_NAMES
 
 STATUS_OK = 0
@@ -153,40 +154,6 @@ def _clamp(d: _Dialect, x: str, lo: str, hi: str) -> str:
 
 def _abs(d: _Dialect, x: str) -> str:
     return d.cond(f"{x} >= 0.0", x, f"-{x}")
-
-
-def _compile(name: str, lines: list):
-    """Compile generated source; tracebacks and ``inspect.getsource`` show
-    its lines."""
-    source = "\n".join(lines) + "\n"
-    filename = f"<generated {__name__}.{name}>"
-    linecache.cache[filename] = (len(source), None,
-                                 source.splitlines(True), filename)
-    return compile(source, filename, "exec")
-
-
-def _lower(x, ops: dict) -> str:
-    """The name of the float local holding ``x`` in the generated code.
-
-    ``x`` is a tree of :class:`_Expr` nodes, lowered in post-order: a leaf
-    gives its name, an int or float constant its ``repr``, and a ``+``,
-    ``-`` or ``*`` node the result of one statement ``tN = a op b``, kept
-    in ``ops`` (a dict from ``(a, op, b)`` to ``tN``) in the order Python
-    built the nodes.  A node already lowered on the same operands gives the
-    earlier result: it is the same IEEE operation on the same values, so it
-    gives the same bits.  Anything else raises ``TypeError``.
-    """
-    if isinstance(x, _Expr):
-        if not x.args:
-            return x.op
-        if x.op in ("+", "-", "*"):
-            a, b = (_lower(v, ops) for v in x.args)
-            return ops.setdefault((a, x.op, b), f"t{len(ops)}")
-    elif type(x) in (int, float):
-        return repr(x)
-    what = x.op if isinstance(x, _Expr) else type(x).__name__
-    raise TypeError("the generated right-hand side is straight-line "
-                    f"+, - and * on int and float constants only, not {what}")
 
 
 class _RhsParts(NamedTuple):
@@ -248,9 +215,8 @@ def _build_rhs():
         f"        return ({', '.join(rhs.logit_rates)})",
         f"    return ({', '.join(rhs.direct_rates)})",
     ]
-    namespace = {"__name__": __name__, "exp": math.exp}
-    exec(_compile("_rhs", lines), namespace)
-    return namespace["_rhs"]
+    return _compile(f"{__name__}._rhs", lines,
+                    {"__name__": __name__, "exp": math.exp})
 
 
 _rhs = _build_rhs()
@@ -383,10 +349,8 @@ def _build_core():
         "        if h < h_min:",
         "            return ys[:isamp], n_steps, STATUS_STEP_UNDERFLOW, t",
     ]
-    namespace: dict = {}
-    exec(_compile("_python_core", lines), namespace)
-    # rebound to this module's globals, where every stage looks up _rhs
-    return types.FunctionType(namespace["_python_core"].__code__, globals())
+    # defined in this module's globals, where every stage looks up _rhs
+    return _compile(f"{__name__}._python_core", lines, globals())
 
 
 _python_core = _build_core()
@@ -525,7 +489,8 @@ def _library_path(source: str) -> str:
 
 def _build(cc: str, source: str, path: str) -> None:
     """Compile ``source`` into the library ``path``, through a temporary
-    file moved into place.  A compiler that fails, or runs past
+    file moved into place, and remove the libraries built from other
+    sources beside it.  A compiler that fails, or runs past
     ``_CC_TIMEOUT_S``, is an ``OSError``; its output is captured, never
     printed."""
     import subprocess
@@ -547,6 +512,13 @@ def _build(cc: str, source: str, path: str) -> None:
     finally:
         if os.path.exists(tmp):
             os.unlink(tmp)
+    # the libraries of earlier sources, never loaded again; another build's
+    # mkstemp temporary has 8 random characters, not 16 hex digits
+    for name in os.listdir(cache):
+        if (re.fullmatch(r"_stepper\.[0-9a-f]{16}\.so", name)
+                and name != os.path.basename(path)):
+            with contextlib.suppress(OSError):  # gone already, or not ours
+                os.unlink(os.path.join(cache, name))
 
 
 @functools.cache

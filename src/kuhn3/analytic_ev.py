@@ -2,23 +2,17 @@
 
 The scaled profits 24*E_i are multilinear polynomials in the eleven
 frequencies (no frequency appears squared, and no product of two
-frequencies owned by the same player occurs).  Two consequences are used
-throughout the package:
-
-* each E_i is jointly affine in player i's own frequencies, so the partial
-  derivative of E_i with respect to one of her frequencies depends only on
-  the opponents' frequencies (and the pot), and a best response decomposes
-  coordinatewise;
-* every second partial is a constant or an affine function of a single
-  other frequency, so the Jacobian of the adjustment dynamics is available
-  in closed form (:func:`gradient_cross`).
+frequencies owned by the same player occurs).  So each E_i is jointly
+affine in player i's own frequencies: the partial derivative of E_i with
+respect to one of her frequencies depends only on the opponents'
+frequencies (and the pot), and a best response decomposes coordinatewise.
 
 The polynomials are transcribed once, in :func:`_partials`: the scaled
 partial g_f = 24 * dE_owner/df of every frequency, each brace auditable
 against the tree-walk oracle term by term.  :func:`_profits` adds each
 player's own-free remainder, 24*E_i = sum of g_f * f over the f player i
-owns + r_i.  The Hessian of :func:`gradient_cross` is read off the
-transcription once, at import, by evaluating it on unit corners.
+owns + r_i.  :func:`gradient_cross` evaluates the :func:`_derivative`
+of each partial, generated from the same transcription once, at import.
 
 :func:`expected_profit_scaled` and :func:`gradient_cross` also take a stack:
 an (n, 11) array of frequency rows with an array of n pots.  A stack runs
@@ -29,12 +23,13 @@ use this to evaluate a block of rows in one call.
 
 from __future__ import annotations
 
+import linecache
 from typing import NamedTuple
 
 import numpy as np
 
-from .game_model import (ProfitVector, StrategyProfile, check_pot,
-                         check_pots)
+from .game_model import (FREQ_NAMES, ProfitVector, StrategyProfile,
+                         check_pot, check_pots)
 
 __all__ = [
     "GradientVector",
@@ -71,10 +66,10 @@ class _Expr:
     by running plain arithmetic on ``_Expr`` leaves (``np.sqrt`` calls
     :meth:`sqrt`).  A leaf is a name: a frequency, the pot, or a free
     parameter pinned at ``pin`` for a family's branch to compare.  The
-    catalog prints its family formulas from such trees, and
-    :mod:`kuhn3._stepper` lowers the trees of :func:`_partials` and
-    :func:`_profits` to the statements of its right-hand side.  It has no
-    truth value: a branch on one would fix a single path into the tree."""
+    catalog prints its family formulas from such trees, and :func:`_lower`
+    writes those of :func:`_partials`, :func:`_profits` and their
+    :func:`_derivative` as code.  It has no truth value: a branch on one
+    would fix a single path into the tree."""
 
     def __init__(self, op: str, *args, pin=None):
         self.op, self.args, self.pin, self.compared = op, args, pin, False
@@ -97,6 +92,63 @@ class _Expr:
 
     def __bool__(self):
         raise TypeError("a symbolic value has no truth value")
+
+
+def _derivative(x, name: str):
+    """The tree of dx/d``name``, for a tree ``x`` that :func:`_lower` takes:
+    1 for the leaf ``name``, 0 for another leaf or a constant, and for
+    ``+``, ``-`` and ``*`` the sum, difference and product rule
+    (da * b + a * db), with 0 terms dropped and factors of 1 folded away;
+    0 - db stays 0 - db, which keeps the sign of a zero."""
+    if not (isinstance(x, _Expr) and x.args and x.op in ("+", "-", "*")):
+        _lower(x, {})  # a leaf or a constant; anything else is a TypeError
+        return int(isinstance(x, _Expr) and x.op == name)
+    a, b = x.args
+    da, db = _derivative(a, name), _derivative(b, name)
+    op = x.op
+    if op == "*":
+        da = 0 if da == 0 else b if da == 1 else _Expr("*", da, b)
+        db = 0 if db == 0 else a if db == 1 else _Expr("*", a, db)
+        op = "+"
+    if db == 0:
+        return da
+    return db if da == 0 and op == "+" else _Expr(op, da, db)
+
+
+def _compile(name: str, lines: list, namespace: dict):
+    """The function ``name`` (module-qualified) that the generated source
+    ``lines`` define, run in ``namespace``; tracebacks and
+    ``inspect.getsource`` show its lines."""
+    source = "\n".join(lines) + "\n"
+    filename = f"<generated {name}>"
+    linecache.cache[filename] = (len(source), None,
+                                 source.splitlines(True), filename)
+    exec(compile(source, filename, "exec"), namespace)
+    return namespace[name.rpartition(".")[2]]
+
+
+def _lower(x, ops: dict) -> str:
+    """The name of the float local holding ``x`` in generated code.
+
+    ``x`` is a tree of :class:`_Expr` nodes, lowered in post-order: a leaf
+    gives its name, an int or float constant its ``repr``, and a ``+``,
+    ``-`` or ``*`` node the result of one statement ``tN = a op b``, kept
+    in ``ops`` (a dict from ``(a, op, b)`` to ``tN``) in the order Python
+    built the nodes.  A node already lowered on the same operands gives the
+    earlier result: it is the same IEEE operation on the same values, so it
+    gives the same bits.  Anything else raises ``TypeError``.
+    """
+    if isinstance(x, _Expr):
+        if not x.args:
+            return x.op
+        if x.op in ("+", "-", "*"):
+            a, b = (_lower(v, ops) for v in x.args)
+            return ops.setdefault((a, x.op, b), f"t{len(ops)}")
+    elif type(x) in (int, float):
+        return repr(x)
+    what = x.op if isinstance(x, _Expr) else type(x).__name__
+    raise TypeError("generated code is straight-line +, - and * on int and "
+                    f"float constants only, not {what}")
 
 
 def _partials(f, P) -> tuple:
@@ -185,36 +237,21 @@ def gradient(profile: StrategyProfile, pot: float) -> GradientVector:
     return GradientVector(*(g / 24.0 for g in gradient_scaled(profile, pot)))
 
 
-def _cross_coefficients() -> tuple:
-    """(L0, L1, I, J, K, Q0, Q1) with d g_i/d f_j = L[i, j] plus, for the
-    table entry t with (I[t], J[t]) = (i, j), the bilinear term
-    Q[t] * f_K[t]; L = L0 + P L1 and Q = Q0 + P Q1.
-
-    Read off :func:`_partials` at the unit corners 0, e_j and e_j + e_k,
-    at P = 0 and P = 1, in one batched call.  This is exact: every partial
-    is multilinear of degree <= 2 in the other players' frequencies, with
-    small integer coefficients affine in P, so its value at 0, e_j and
-    e_j + e_k gives the constant, the linear coefficient l_j and the
-    bilinear coefficient q_jk exactly.  The table keeps the nonzero q_jk
-    only, once as (i, j, k) and once as (i, k, j); no (i, j) occurs twice.
-    """
-    n = 11
-    j, k = np.triu_indices(n, 1)
-    eye = np.eye(n)
-    corners = np.concatenate([np.zeros((1, n)), eye, eye[j] + eye[k]])
-    pot = np.repeat([0.0, 1.0], len(corners))
-    g = np.array(_partials(np.tile(corners, (2, 1)).T, pot))
-    v = g.reshape(n, 2, -1).swapaxes(0, 1)        # (pot, partial, corner)
-    g0, gj, gjk = v[..., :1], v[..., 1:1 + n], v[..., 1 + n:]
-    L = gj - g0
-    Q = (gjk - gj[..., j]) - (gj[..., k] - g0)   # (pot, partial, pair j < k)
-    i, p = np.nonzero(Q.any(axis=0))
-    q0, q1 = Q[0, i, p], Q[1, i, p] - Q[0, i, p]
-    return (L[0], L[1] - L[0], np.tile(i, 2), np.concatenate([j[p], k[p]]),
-            np.concatenate([k[p], j[p]]), np.tile(q0, 2), np.tile(q1, 2))
+def _build_cross():
+    """``_cross(<11 frequencies>, pot)``, the d g_i/d f_j of :func:`_partials`
+    that are not identically 0, and the list of their (i, j)."""
+    g = _partials([_Expr(n) for n in FREQ_NAMES], _Expr("pot"))
+    ops: dict = {}
+    entries = {(i, j): _lower(d, ops) for i, g_i in enumerate(g)
+               for j, d in enumerate(_derivative(g_i, n) for n in FREQ_NAMES)
+               if d != 0}
+    lines = [f"def _cross({', '.join(FREQ_NAMES)}, pot):",
+             *(f"    {r} = {a} {op} {b}" for (a, op, b), r in ops.items()),
+             f"    return ({', '.join(entries.values())})"]
+    return _compile(f"{__name__}._cross", lines, {}), tuple(entries)
 
 
-_L0, _L1, _QI, _QJ, _QK, _Q0, _Q1 = _cross_coefficients()
+_cross, _CROSS_IJ = _build_cross()
 
 
 def gradient_cross(profile, pot) -> np.ndarray:
@@ -226,7 +263,7 @@ def gradient_cross(profile, pot) -> np.ndarray:
     the (n, 11, 11) stack.
     """
     F, P, stacked = _as_rows(profile, pot)
-    H = P[:, None, None] * _L1
-    H += _L0
-    H[:, _QI, _QJ] += (_Q0 + P[:, None] * _Q1) * F[:, _QK]
+    H = np.zeros((len(F), 11, 11))
+    for (i, j), h in zip(_CROSS_IJ, _cross(*F.T, P)):
+        H[:, i, j] = h
     return H if stacked else H[0]

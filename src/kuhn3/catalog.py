@@ -508,7 +508,11 @@ def equilibrium_profit(sol_id: str, pot: float,
 
 def catalog_json(samples_per_family: int = 3) -> dict:
     """JSON-ready description of the catalog: validity ranges, the text of
-    each family's formulas, and sampled numeric instantiations."""
+    each family's formulas, and sampled numeric instantiations: one at the
+    lower end of each family's range, then spread over it."""
+    if samples_per_family < 1:
+        raise ValueError(f"samples_per_family must be at least 1, got "
+                         f"{samples_per_family!r}")
     crit = critical_pots()
     out = {
         "critical_pots": {k: getattr(crit, k) for k in crit._fields},
@@ -518,7 +522,7 @@ def catalog_json(samples_per_family: int = 3) -> dict:
         sol = _CATALOG[sid]
         if math.isinf(sol.hi):
             pots = [sol.lo + i for i in range(samples_per_family)]
-        elif sol.hi == sol.lo:
+        elif sol.hi == sol.lo or samples_per_family == 1:
             pots = [sol.lo]
         else:
             pots = [sol.lo + (sol.hi - sol.lo) * i / (samples_per_family - 1)

@@ -108,8 +108,8 @@ def gains_array(gains: Mapping | Sequence | None) -> np.ndarray:
         k = np.asarray(gains, dtype=float)
         if k.shape != (11,):
             raise ValueError(f"gains must have 11 entries, got {k.shape}")
-    if not (k > 0).all():
-        raise ValueError("all gains must be positive")
+    if not ((k > 0) & np.isfinite(k)).all():
+        raise ValueError("all gains must be positive and finite")
     return k
 
 

@@ -3,6 +3,11 @@ import pytest
 
 from conftest import POT_SAMPLE, bits, dense_gradient_cross, stacked_rows
 from kuhn3.analytic_ev import (
+    _CROSS_IJ,
+    _cross,
+    _derivative,
+    _Expr,
+    _lower,
     _partials,
     _profits,
     expected_profit,
@@ -128,6 +133,10 @@ class TestGradient:
 
 class TestGradientCross:
     def test_same_owner_entries_vanish(self, rng):
+        # no generated entry couples two frequencies of one owner, so the
+        # zero holds at every profile and pot
+        assert all(FREQ_OWNER[FREQ_NAMES[i]] != FREQ_OWNER[FREQ_NAMES[j]]
+                   for i, j in _CROSS_IJ)
         H = gradient_cross(random_profile(rng), 3.3)
         for i, ni in enumerate(FREQ_NAMES):
             for j, nj in enumerate(FREQ_NAMES):
@@ -210,9 +219,32 @@ class TestTranscription:
 
     def test_jacobian_of_gradient_is_gradient_cross(self, symbolic, rng):
         sp, f, P, g = symbolic
-        H_num = sp.lambdify((f, P), sp.Matrix(g).jacobian(f))
+        jac = sp.Matrix(g).jacobian(f)
+        H = sp.zeros(11, 11)
+        for (i, j), h in zip(_CROSS_IJ, _cross(*f, P)):
+            H[i, j] = h
+        assert (H - jac).expand() == sp.zeros(11, 11)
+        H_num = sp.lambdify((f, P), jac)
         for _ in range(20):
             prof = random_profile(rng)
             pot = float(rng.uniform(2, 8))
             H = np.array(H_num(prof.as_tuple(), pot), dtype=float)
             assert np.abs(H - gradient_cross(prof, pot)).max() < 1e-12
+
+    def test_derivative_refuses_other_operations(self):
+        x, y = _Expr("x"), _Expr("y")
+        for v in (x / 2, 2 / x, np.sqrt(x), _Expr("^", x, 2), x + y / 2,
+                  _Expr("max", 0.0, x), _Expr("min", 1.0, x), x + "1",
+                  x * np.float64(2.0), x + True):
+            # whether or not the refused node depends on the name
+            for name in ("x", "z"):
+                with pytest.raises(TypeError):
+                    _derivative(v, name)
+
+    def test_derivative_drops_zeros_and_folds_ones(self):
+        x, y = _Expr("x"), _Expr("y")
+        ops = {}
+        assert [_lower(_derivative(v, "x"), ops)
+                for v in (2 - x, x * y, 3 * x + y, y - 2)] == ["t0", "y", "3",
+                                                              "0"]
+        assert list(ops) == [("0", "-", "1")]  # 0 - 1, not -1

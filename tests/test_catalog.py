@@ -383,6 +383,13 @@ class TestCatalogExport:
                 assert len(sample["profits_x24"]) == 3
                 assert abs(sum(sample["profits_x24"])) < 1e-9
 
+    def test_sample_counts(self):
+        for n in (0, -1):
+            with pytest.raises(ValueError):
+                catalog_json(n)
+        for s in catalog_json(1)["solutions"]:
+            assert [x["pot"] for x in s["samples"]] == [s["validity"][0]]
+
     def test_sampled_instantiations_verify(self):
         doc = catalog_json()
         from kuhn3.game_model import StrategyProfile

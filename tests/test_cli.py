@@ -204,7 +204,7 @@ class TestSimulate:
     def test_bad_gains_file(self, capsys, tmp_path):
         gains = tmp_path / "gains.json"
         # JSON null is neither an object nor a list: not the default gains
-        for doc in ({"zz": 1.0}, None):
+        for doc in ({"zz": 1.0}, None, {"a1": float("inf")}):
             gains.write_text(json.dumps(doc))
             code, _, err = run_cli(capsys, "simulate", "--pot", "2.5",
                                    "--seed", "1", "--t-end", "100",

@@ -79,6 +79,9 @@ class TestGains:
             gains_array({"b3": -1.0})
         with pytest.raises(ValueError):
             gains_array([1.0, 2.0])
+        for bad in (math.inf, math.nan):
+            with pytest.raises(ValueError):
+                gains_array({"a1": bad})
 
 
 class TestVectorField:
@@ -646,6 +649,33 @@ class TestCompiledCoreFallback:
         assert time.perf_counter() - t0 < 30.0
         assert fresh_core.compiled_core() is None
         assert capfd.readouterr() == ("", "")
+
+
+def test_a_build_removes_stale_libraries(fresh_core):
+    if shutil.which("cc") is None:
+        pytest.skip("no C compiler (cc) on PATH: nothing is built")
+    path = fresh_core._library_path(fresh_core._c_source())
+    cache = os.path.dirname(path)
+    os.makedirs(cache)
+    # an earlier source's library, and another build's mkstemp temporary
+    stale, tmp = "_stepper.0123456789abcdef.so", "_stepper.k3_x9q2a.so"
+
+    def plant(name):
+        with open(os.path.join(cache, name), "wb") as fh:
+            fh.write(b"\x7fELF")
+
+    def libraries():
+        return sorted(n for n in os.listdir(cache) if n.endswith(".so"))
+
+    plant(stale)
+    plant(tmp)
+    assert fresh_core.compiled_core() is not None
+    assert libraries() == sorted([os.path.basename(path), tmp])
+    # a warm cache builds nothing, so it deletes nothing
+    plant(stale)
+    fresh_core.compiled_core.cache_clear()
+    assert fresh_core.compiled_core() is not None
+    assert libraries() == sorted([os.path.basename(path), stale, tmp])
 
 
 def test_commands_that_never_integrate_start_no_compiler(tmp_path,
