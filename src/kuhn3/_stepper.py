@@ -7,8 +7,10 @@ samples land exactly on the requested grid; log-odds coordinates are
 clamped to +/- f_max after every accepted step (direct coordinates to
 [0, 1]).
 
-Both the right-hand side and the step loop are generated at import as
-straight-line Python-float code; ``inspect.getsource`` shows either.
+The right-hand side and the step loop are each written once, as a list
+of statements (:func:`_rhs_body`, :func:`_loop`), and rendered twice: at
+import as straight-line Python-float code (``inspect.getsource`` shows
+either), and as C for the compiled core.
 
 The right-hand side ``_rhs`` evaluates the one transcription of the profit
 polynomials in :mod:`kuhn3.analytic_ev`: ``_partials`` and ``_profits`` run
@@ -21,23 +23,17 @@ the tuple of fourteen rates it returns.  It performs the same IEEE
 operations in the same order as the transcription run on floats, so it
 gives the same bits, without the interpreter's cost of the calls.
 
-The step loop ``_python_core`` is written out from the tableau ``_A``,
-``_B5`` and ``_EC``: the state, the seven stages and the error norm are
-float locals, with no numpy call inside a step.  h is folded into each
-tableau row once per attempted step, a stage state is y + (sum of
-(a_l*h) * K_l) summed left to right over the nonzero entries of its row,
-and the error norm is sqrt(sum q_i**2 / 14), also left to right.  Stages
-two to six sum only the eleven coordinates that the right-hand side
-reads; the profits are summed for the seventh stage (the new solution)
-and the error norm alone.  The loop calls ``_rhs`` through this module's
-globals, so a replacement of ``_stepper._rhs`` (a tracer, a counter) sees
-every call.  Its back edge is a ``for`` over ``itertools.repeat``: on
-CPython 3.11 a ``while`` back edge does not warm the specialising
-interpreter, and a loop entered once would stay unspecialised.  Python
-floats raise ``ZeroDivisionError`` where numpy gave inf or nan, so a zero
-error scale (rtol = atol = 0) is caught and read as a non-finite norm.
-The larger of |y| and |y_new| is NaN where either is, as with
-``np.maximum``: y_new = y + (...) is NaN wherever y is.
+The step loop is written out from the tableau ``_A``, ``_B5`` and
+``_EC``: the state, the seven stages and the error norm are float locals,
+with no numpy call inside a step.  h is folded into each tableau row once
+per attempted step, a stage state is y + (sum of (a_l*h) * K_l) summed
+left to right over the nonzero entries of its row, and the error norm is
+sqrt(sum q_i**2 / 14), also left to right.  Stages two to six sum only the
+eleven coordinates that the right-hand side reads; the profits are summed
+for the seventh stage (the new solution) and the error norm alone.  The
+larger of |y| and |y_new| is NaN where either is, as with ``np.maximum``:
+y_new = y + (...) is NaN wherever y is.  The step controller's ``max`` and
+``min`` are written as the comparisons Python's ``max`` and ``min`` make.
 
 The pair is First-Same-As-Last: the seventh stage is evaluated at the new
 solution, so an accepted step hands it on as the next step's first stage,
@@ -47,22 +43,33 @@ clip keeps this exact: the right-hand side reads only the adjustment
 coordinates, through the same clamp, and never the profits, so it gives
 the same bits before and after the clip.
 
-The compiled twin.  :func:`_c_source` writes the same right-hand side and
-step loop as one C translation unit.  Its right-hand side is a ``static
-inline`` function whose statements are the ``ops`` that :func:`_lower`
-fills for ``_rhs``; its step loop comes from the same folded rows of
-``_A`` and ``_EC``, with the same left-to-right sums, ternaries, FSAL copy,
-clamp and step controller.  The two differ only in spelling
-(:class:`_Dialect`): in C a coordinate is a field of a ``state`` struct and
-a constant an exact hexadecimal literal, ``max``/``min`` are written as
-the comparisons Python makes, and a zero error scale gives a non-finite
-norm by IEEE division rather than by a caught exception.
-:func:`compiled_core` builds it on first use with ``cc -O2
--ffp-contract=off -fPIC -shared``, without ``-ffast-math`` or ``-march``.
-``-ffp-contract=off`` forbids fusing a multiply and an add into one
-rounding (FMA), so every operation is the IEEE double operation that
-Python floats do, and ``exp``, ``pow`` and ``sqrt`` are the libm calls
-that ``math`` makes: the compiled core gives the bits of the Python loop.
+The two dialects.  A statement is a string and a block ``(keyword,
+test, statements)``; :func:`_render` writes either in a :class:`_Dialect`,
+which holds only what the languages spell apart: the statement terminator
+and the declaration of a float local; the state, a tuple of fourteen
+locals in Python and a ``state`` struct in C, also where the right-hand
+side is called on it or returns its rates; the head and close of a block;
+``**`` and ``pow``, ``not`` and ``!``; the loop head; a constant, an exact
+hexadecimal literal in C; and the guard of a zero error scale.  Python
+floats raise ``ZeroDivisionError`` where numpy gave inf or nan, so Python
+catches it and reads it as a non-finite norm; in C, IEEE division gives
+that norm with no guard.  What one language alone needs stays in its
+prologue: the float conversion of the arguments and the allocation of
+``ys`` in :func:`_build_core`, the includes, the ``state`` typedef and the
+out-pointers in :func:`_c_source`.  The Python loop calls ``_rhs`` through
+this module's globals, so a replacement of ``_stepper._rhs`` (a tracer, a
+counter) sees every call.  Its loop head is a ``for`` over
+``itertools.repeat``: on CPython 3.11 a ``while`` back edge does not warm
+the specialising interpreter, and a loop entered once would stay
+unspecialised.
+
+:func:`compiled_core` builds the C of :func:`_c_source` on first use
+with ``cc -O2 -ffp-contract=off -fPIC -shared``, without ``-ffast-math``
+or ``-march``.  ``-ffp-contract=off`` forbids fusing a multiply and an
+add into one rounding (FMA), so every operation is the IEEE double
+operation that Python floats do, and ``exp``, ``pow`` and ``sqrt`` are
+the libm calls that ``math`` makes: the compiled core gives the bits of
+the Python loop.
 The library goes into this package's bytecode-cache directory, beside the
 ``.pyc`` files and with their trust (``PYTHONPYCACHEPREFIX`` moves it
 too), under a name carrying the hash of the source and the flags that a
@@ -131,21 +138,66 @@ _EXP_ARG_MAX = math.log(sys.float_info.max)
 
 
 class _Dialect(NamedTuple):
-    """How generated code spells a state coordinate, an operand and a
-    choice.  The Python loop and its compiled twin differ in these alone
-    where they do arithmetic."""
+    """How generated code spells what Python and C spell apart.  A
+    statement is a string and a block is ``(keyword, test, statements)``;
+    :func:`_render` writes either in either language."""
 
+    end: str           # the statement terminator
+    let: str           # declares a float local assigned once in its scope
     var: Callable      # (stem, coordinate) -> "y_a1" or "y.a1"
+    state: Callable    # stem -> the fourteen coordinates as one value
+    rhs: Callable      # stem -> the call of the right-hand side on it
+    rates: Callable    # rate expressions -> the statement returning them
+    head: Callable     # (keyword, test or None) -> the line opening a block
+    close: str         # the line closing a block, if any
     operand: Callable  # a name, or a constant's repr -> its spelling
     cond: Callable     # (test, a, b) -> a where test holds, else b
+    pow: Callable      # (x, e) -> x to the power e
+    not_: str          # the negation of a test
+    loop: str          # the test of a for loop without end
+    guard: Callable    # the error norm's statements -> what is run
 
 
-_PY = _Dialect(var="{}_{}".format, operand=str,
-               cond="{1} if {0} else {2}".format)
-# a constant as an exact hexadecimal literal
-_C = _Dialect(var="{}.{}".format,
-              operand=lambda x: x if x.isidentifier() else float(x).hex(),
-              cond="{0} ? {1} : {2}".format)
+def _names(stem: str, n: int = len(_STATE)) -> str:
+    return ", ".join(f"{stem}_{c}" for c in _STATE[:n])
+
+
+_PY = _Dialect(
+    end="", let="", var="{}_{}".format, state=_names,
+    rhs=lambda s: f"_rhs({_names(s, len(FREQ_NAMES))}, pot, k, f_max, logit)",
+    rates=lambda xs: f"return ({', '.join(xs)})",
+    head=lambda kw, test: f"{kw} {test}:" if test else f"{kw}:", close="",
+    operand=str, cond="{1} if {0} else {2}".format, pow="{} ** ({})".format,
+    not_="not ", loop="_ in itertools.repeat(None)",
+    # Python floats raise where numpy gave inf or nan for a zero scale
+    guard=lambda body: [("try", None, body),
+                        ("except", "ZeroDivisionError", ["errn = nan"])])
+# a constant as an exact hexadecimal literal; a zero scale needs no test,
+# since x / 0 is inf or NaN by IEEE division
+_C = _Dialect(
+    end=";", let="const double ", var="{}.{}".format, state=str,
+    rhs="rhs({}, pot, k, f_max, logit)".format,
+    rates=lambda xs: f"return (state){{{', '.join(xs)}}}",
+    head=lambda kw, test: (f"{'else if' if kw == 'elif' else kw} ({test}) {{"
+                           if test else f"{kw} {{"), close="}",
+    operand=lambda x: x if x.isidentifier() else float(x).hex(),
+    cond="{0} ? {1} : {2}".format, pow="pow({}, {})".format, not_="!",
+    loop=";;", guard=list)
+
+
+def _render(d: _Dialect, items: list, depth: int = 1) -> list:
+    """The lines of ``items`` in dialect ``d``, indented ``depth`` levels."""
+    pad = "    " * depth
+    lines = []
+    for item in items:
+        if isinstance(item, str):
+            lines.append(pad + item + d.end)
+            continue
+        keyword, test, body = item
+        lines += [pad + d.head(keyword, test), *_render(d, body, depth + 1)]
+        if d.close:
+            lines.append(pad + d.close)
+    return lines
 
 
 def _clamp(d: _Dialect, x: str, lo: str, hi: str) -> str:
@@ -156,20 +208,12 @@ def _abs(d: _Dialect, x: str) -> str:
     return d.cond(f"{x} >= 0.0", x, f"-{x}")
 
 
-class _RhsParts(NamedTuple):
-    """The right-hand side in one dialect; locals ``lo`` = -f_max and the
+def _rhs_body(d: _Dialect) -> list:
+    """The right-hand side's statements in dialect ``d``:
+    :func:`_partials` and :func:`_profits` run once on :class:`_Expr`
+    leaves, and :func:`_lower`'s operations on their trees, between the
+    clamp of each coordinate and the return of the fourteen rates.  The
     gains ``k_<name>`` are the caller's to bind."""
-
-    logit: list   # clamped frequency of each coordinate, log-odds chart
-    direct: list  # the same, direct chart
-    temps: list   # (tN, "a op b") in evaluation order
-    logit_rates: list
-    direct_rates: list
-
-
-def _rhs_parts(d: _Dialect) -> _RhsParts:
-    """:func:`_partials` and :func:`_profits` run once on :class:`_Expr`
-    leaves and :func:`_lower`'s statements, spelled in dialect ``d``."""
     f = [_Expr(n) for n in FREQ_NAMES]
     pot = _Expr("pot")
     g = _partials(f, pot)
@@ -182,39 +226,28 @@ def _rhs_parts(d: _Dialect) -> _RhsParts:
     minus = [d.cond(f"{x} <= lo", "f_max", d.cond(f"{x} >= f_max", "lo",
                                                   f"-{x}")) for x in ys]
     rates = [f"{e_i} / 24.0" for e_i in e]
-    return _RhsParts(
-        logit=[f"1.0 / (1.0 + exp({x}))" for x in minus],
-        direct=[_clamp(d, x, "0.0", "1.0") for x in ys],
-        temps=[(r, f"{d.operand(a)} {op} {d.operand(b)}")
-               for (a, op, b), r in ops.items()],
-        logit_rates=[f"k_{n} * {g_i}" for n, g_i in zip(FREQ_NAMES, g)]
-        + rates,
-        direct_rates=[f"k_{n} * {n} * (1 - {n}) * {g_i}"
-                      for n, g_i in zip(FREQ_NAMES, g)] + rates)
+    return [
+        ("if", "logit", [f"{d.let}lo = -f_max",
+                         *(f"{n} = 1.0 / (1.0 + exp({x}))"
+                           for n, x in zip(FREQ_NAMES, minus))]),
+        ("else", None, [f"{n} = {_clamp(d, x, '0.0', '1.0')}"
+                        for n, x in zip(FREQ_NAMES, ys)]),
+        *(f"{d.let}{r} = {d.operand(a)} {op} {d.operand(b)}"
+          for (a, op, b), r in ops.items()),
+        ("if", "logit", [d.rates([f"k_{n} * {g_i}" for n, g_i
+                                  in zip(FREQ_NAMES, g)] + rates)]),
+        d.rates([f"k_{n} * {n} * (1 - {n}) * {g_i}"
+                 for n, g_i in zip(FREQ_NAMES, g)] + rates),
+    ]
 
 
 def _build_rhs():
     """Generate ``_rhs(<11 coordinates>, pot, k, f_max, logit)`` from the
-    profit transcription: :func:`_partials` and :func:`_profits` run once on
-    :class:`_Expr` leaves, and :func:`_lower` turns their trees into one
-    straight-line function body between the clamp of each coordinate and
-    the returned tuple of the fourteen rates."""
-    rhs = _rhs_parts(_PY)
-    ys = [f"y_{n}" for n in FREQ_NAMES]
-    ks = [f"k_{n}" for n in FREQ_NAMES]
-    lines = [
-        f"def _rhs({', '.join(ys)}, pot, k, f_max, logit):",
-        f"    {', '.join(ks)} = k",
-        "    if logit:",
-        "        lo = -f_max",
-        *(f"        {n} = {x}" for n, x in zip(FREQ_NAMES, rhs.logit)),
-        "    else:",
-        *(f"        {n} = {x}" for n, x in zip(FREQ_NAMES, rhs.direct)),
-        *(f"    {r} = {x}" for r, x in rhs.temps),
-        "    if logit:",
-        f"        return ({', '.join(rhs.logit_rates)})",
-        f"    return ({', '.join(rhs.direct_rates)})",
-    ]
+    profit transcription (:func:`_rhs_body`), as one straight-line Python
+    function."""
+    lines = [f"def {_PY.rhs('y')}:",
+             f"    {', '.join(f'k_{n}' for n in FREQ_NAMES)} = k",
+             *_render(_PY, _rhs_body(_PY))]
     return _compile(f"{__name__}._rhs", lines,
                     {"__name__": __name__, "exp": math.exp})
 
@@ -225,129 +258,98 @@ _rhs = _build_rhs()
 #: itself is no mark, since a tracer rebinds every name that holds it.
 _RHS_CODE = _rhs.__code__
 
-
-class _StepParts(NamedTuple):
-    """One attempted step's arithmetic in one dialect, without the control
-    flow around it."""
-
-    stages: list  # stages two to seven: (target, expression) pairs that
-                  # leave the state the stage's rate is taken at in z
-    errors: list  # (target, expression) pairs: the error weights times h
-    err: list     # per coordinate: (error sum, |y|, |z|)
-    scale: str    # the error scale of locals a = |y| and b = |z|
-    accept: list  # per adjustment coordinate: z clamped
-
-
-def _step_parts(d: _Dialect) -> _StepParts:
-    """The arithmetic of one attempted step from the tableau, spelled in
-    dialect ``d``."""
-    n_adj = len(FREQ_NAMES)
-    last = len(_A) - 1
-
-    def fold(prefix: str, coeffs) -> tuple:
-        # the nonzero coefficients as locals <prefix><l> = coefficient * h
-        terms = [(f"{prefix}{l}", l) for l, a in enumerate(coeffs) if a]
-        return terms, [(v, f"{d.operand(repr(coeffs[l]))} * h")
-                       for v, l in terms]
-
-    def total(terms, c: str) -> str:
-        return " + ".join(f"{v} * {d.var(f'K{l}', c)}" for v, l in terms)
-
-    stages = []
-    for i in range(1, len(_A)):
-        terms, lets = fold(f"h{i}", _A[i])
-        # stages 2..6 are read only at the eleven adjustment coordinates
-        width = len(_STATE) if i == last else n_adj
-        stages.append(lets + [
-            (d.var("z", c), f"{d.var('y', c)} + ({total(terms, c)})")
-            for c in _STATE[:width]])
-    terms, errors = fold("e", _EC)
-    err = [(total(terms, c), _abs(d, d.var("y", c)), _abs(d, d.var("z", c)))
-           for c in _STATE]
-    # b is NaN where a is, so this is NaN where either is
-    scale = f"({d.cond('a >= b', 'a', 'b')}) * rtol + atol"
-    accept = [_clamp(d, d.var("z", c), "lo", "hi") for c in _STATE[:n_adj]]
-    return _StepParts(stages, errors, err, scale, accept)
-
-
 #: the error norm, sqrt(sum q_i**2 / 14) left to right, in either language
 _ERRN = "sqrt(({}) / {!r})".format(" + ".join(f"q_{c} * q_{c}"
                                               for c in _STATE),
                                    float(len(_STATE)))
 
 
-def _build_core():
-    """Generate the Python loop from the tableau: one float local per
-    state coordinate and stage rate, and one statement per stage sum."""
-    n_adj = len(FREQ_NAMES)
-    step = _step_parts(_PY)
+def _loop(d: _Dialect) -> list:
+    """The step loop's statements in dialect ``d``, from the tableau: the
+    state is ``y``, a stage's state ``z`` and its rates ``K<i>``; the
+    caller binds the arguments of ``integrate_core`` and ``ys``, whose row
+    0 is ``y``, and reads ``ys``, ``n_steps``, ``status``, ``t`` and
+    ``isamp`` (the rows written) after it."""
+    n_adj, last = len(FREQ_NAMES), len(_A) - 1
 
-    def names(prefix: str, n: int = len(_STATE)) -> str:
-        return ", ".join(prefix + c for c in _STATE[:n])
+    def fold(prefix: str, coeffs) -> tuple:
+        # the nonzero coefficients as locals <prefix><l> = coefficient * h
+        terms = [(f"{prefix}{l}", l) for l, a in enumerate(coeffs) if a]
+        return terms, [f"{d.let}{v} = {d.operand(repr(coeffs[l]))} * h"
+                       for v, l in terms]
 
-    body = []
-    for i, lets in enumerate(step.stages, 1):
-        body += [f"{v} = {x}" for v, x in lets]
-        body.append(f"{names(f'K{i}_')} = _rhs({names('z_', n_adj)}, "
-                    "pot, k, f_max, logit)")
-    body += [f"{v} = {x}" for v, x in step.errors]
-    body.append("try:")
-    for c, (err, a, b) in zip(_STATE, step.err):
-        body += [f"    a = {a}", f"    b = {b}",
-                 f"    q_{c} = ({err}) / ({step.scale})"]
-    body += [
-        f"    errn = {_ERRN}",
-        "except ZeroDivisionError:",
-        "    # a zero scale: numpy made this norm inf or nan",
-        "    errn = nan",
-        "if errn <= 1.0:",
-        "    t = t_target if hit else t + h",
-        *(f"    y_{c} = {x}" for c, x in zip(_STATE, step.accept)),
-        *(f"    y_{c} = z_{c}" for c in _STATE[n_adj:]),
-        *(f"    K0_{c} = K{len(step.stages)}_{c}" for c in _STATE),
-        "    n_steps += 1",
-        "    if hit:",
-        f"        ys[isamp] = ({names('y_')})",
-        "        isamp += 1",
+    def total(terms, c: str) -> str:
+        return " + ".join(f"{v} * {d.var(f'K{l}', c)}" for v, l in terms)
+
+    step = []
+    for i in range(1, len(_A)):
+        terms, lets = fold(f"h{i}", _A[i])
+        # stages 2..6 are read only at the eleven adjustment coordinates
+        step += lets + [f"{d.var('z', c)} = {d.var('y', c)} + "
+                        f"({total(terms, c)})"
+                        for c in _STATE[:len(_STATE) if i == last else n_adj]]
+        step.append(f"{d.state(f'K{i}')} = {d.rhs('z')}")
+    terms, errors = fold("e", _EC)
+    norm = []
+    for c in _STATE:
+        # b is NaN where a is, so the larger is NaN where either is
+        norm += [f"a = {_abs(d, d.var('y', c))}",
+                 f"b = {_abs(d, d.var('z', c))}",
+                 f"{d.let}q_{c} = ({total(terms, c)}) / "
+                 f"(({d.cond('a >= b', 'a', 'b')}) * rtol + atol)"]
+    accept = [
+        f"t = {d.cond('hit', 't_target', 't + h')}",
+        *(f"{d.var('y', c)} = {_clamp(d, d.var('z', c), 'lo', 'hi')}"
+          for c in _STATE[:n_adj]),
+        *(f"{d.var('y', c)} = {d.var('z', c)}" for c in _STATE[n_adj:]),
+        f"{d.state('K0')} = {d.state(f'K{last}')}",
+        "n_steps += 1",
+        ("if", "hit", [f"ys[isamp] = {d.state('y')}", "isamp += 1"]),
     ]
+    return [
+        f"{d.let}lo = {d.cond('logit', '-f_max', '0.0')}",
+        f"{d.let}hi = {d.cond('logit', 'f_max', '1.0')}",
+        f"{d.state('K0')} = {d.rhs('y')}",
+        ("if", "DBL_MIN > h_min", ["h_min = DBL_MIN"]),
+        "t = 0.0", "h = h0", "isamp = 1", "n_steps = 0",
+        ("for", d.loop, [
+            ("if", "isamp > n_samples", [f"status = {STATUS_OK}", "break"]),
+            f"{d.let}t_target = isamp * dt_sample",
+            "hit = 0",
+            ("if", "h >= t_target - t", ["h = t_target - t", "hit = 1"]),
+            *step, *errors, *d.guard(norm + [f"{d.let}errn = {_ERRN}"]),
+            ("if", "errn <= 1.0", accept),
+            ("if", f"{d.not_}isfinite(errn)", ["fac = 0.2"]),
+            ("elif", "errn > 0.0", [
+                f"fac = 0.9 * {d.pow('errn', '-0.2')}",
+                f"fac = {d.cond('fac > 0.2', 'fac', '0.2')}",
+                f"fac = {d.cond('fac < 5.0', 'fac', '5.0')}"]),
+            ("else", None, ["fac = 5.0"]),
+            "h *= fac",
+            ("if", "h < h_min", [f"status = {STATUS_STEP_UNDERFLOW}",
+                                 "break"]),
+        ]),
+    ]
+
+
+def _build_core():
+    """Generate the Python loop (:func:`_loop`): one float local per state
+    coordinate and stage rate, and one statement per stage sum."""
     lines = [
         "def _python_core(y0, pot, k, n_samples, dt_sample, rtol, atol, "
         "f_max, logit, h0, h_min):",
         '    """The generated Python loop of :func:`integrate_core`."""',
         f"    ys = np.empty((n_samples + 1, {len(_STATE)}))",
         "    ys[0] = y0",
-        f"    {names('y_')} = ys[0].tolist()",
+        f"    {_names('y')} = ys[0].tolist()",
         "    # Python floats: a zero scale must raise ZeroDivisionError",
         "    pot, dt_sample, rtol, atol, f_max, h0, h_min = map(",
         "        float, (pot, dt_sample, rtol, atol, f_max, h0, h_min))",
         "    k = np.asarray(k, dtype=float).tolist()",
-        "    lo, hi = (-f_max, f_max) if logit else (0.0, 1.0)",
         "    sqrt, isfinite, nan = math.sqrt, math.isfinite, math.nan",
-        f"    {names('K0_')} = _rhs({names('y_', n_adj)}, pot, k, f_max, "
-        "logit)",
-        "    h_min = max(h_min, sys.float_info.min)",
-        "    t = 0.0",
-        "    h = h0",
-        "    isamp = 1",
-        "    n_steps = 0",
-        "    for _ in itertools.repeat(None):",
-        "        if isamp > n_samples:",
-        "            return ys, n_steps, STATUS_OK, t",
-        "        t_target = isamp * dt_sample",
-        "        hit = False",
-        "        if h >= t_target - t:",
-        "            h = t_target - t",
-        "            hit = True",
-        *("        " + line for line in body),
-        "        if not isfinite(errn):",
-        "            fac = 0.2",
-        "        elif errn > 0.0:",
-        "            fac = min(5.0, max(0.2, 0.9 * errn ** (-0.2)))",
-        "        else:",
-        "            fac = 5.0",
-        "        h *= fac",
-        "        if h < h_min:",
-        "            return ys[:isamp], n_steps, STATUS_STEP_UNDERFLOW, t",
+        "    DBL_MIN = sys.float_info.min",
+        *_render(_PY, _loop(_PY)),
+        "    return ys[:isamp], n_steps, status, t",
     ]
     # defined in this module's globals, where every stage looks up _rhs
     return _compile(f"{__name__}._python_core", lines, globals())
@@ -357,44 +359,14 @@ _python_core = _build_core()
 
 
 def _c_source() -> str:
-    """The compiled twin of ``_rhs`` and ``_python_core`` as one C
-    translation unit, from the same parts in the C dialect.
+    """The compiled twin of ``_rhs`` and ``_python_core``: the statements
+    of :func:`_rhs_body` and :func:`_loop` as one C translation unit.
 
     ``integrate_core(ys, n_samples, pot, k, dt_sample, rtol, atol, f_max,
     logit, h0, h_min, &n_steps, &n_rows, &t)`` reads the initial state from
-    ``ys[0]``, writes the samples after it and returns the status.  Python's
-    ``max(x, m)`` keeps x unless m > x and ``min(x, m)`` unless m < x.  A
-    zero error scale needs no test: x / 0 is inf or NaN, so the norm is not
-    finite, which is what the Python loop makes of its
-    ``ZeroDivisionError``.
+    ``ys[0]``, writes the samples after it and returns the status.
     """
-    n_adj = len(FREQ_NAMES)
-    rhs = _rhs_parts(_C)
-    step = _step_parts(_C)
     ks = ", ".join(f"k_{n} = k[{i}]" for i, n in enumerate(FREQ_NAMES))
-    body = []
-    for i, lets in enumerate(step.stages, 1):
-        body += [f"const double {v} = {x};" if v.isidentifier()
-                 else f"{v} = {x};" for v, x in lets]
-        body.append(f"K{i} = rhs(z, pot, k, f_max, logit);")
-    body += [f"const double {v} = {x};" for v, x in step.errors]
-    for c, (err, a, b) in zip(_STATE, step.err):
-        body += [f"a = {a};", f"b = {b};",
-                 f"q_{c} = ({err}) / ({step.scale});"]
-    body += [
-        f"errn = {_ERRN};",
-        "if (errn <= 1.0) {",
-        "    t = hit ? t_target : t + h;",
-        *(f"    y.{c} = {x};" for c, x in zip(_STATE, step.accept)),
-        *(f"    y.{c} = z.{c};" for c in _STATE[n_adj:]),
-        f"    K0 = K{len(step.stages)};",
-        "    n_steps += 1;",
-        "    if (hit) {",
-        "        ys[isamp] = y;",
-        "        isamp += 1;",
-        "    }",
-        "}",
-    ]
     lines = [
         f"/* Generated by {__name__} from the profit transcription and the",
         "   Dormand-Prince tableau: the compiled twin of its Python loop. */",
@@ -411,16 +383,7 @@ def _c_source() -> str:
         "{",
         f"    const double {ks};",
         f"    double {', '.join(FREQ_NAMES)};",
-        "    if (logit) {",
-        "        const double lo = -f_max;",
-        *(f"        {n} = {x};" for n, x in zip(FREQ_NAMES, rhs.logit)),
-        "    } else {",
-        *(f"        {n} = {x};" for n, x in zip(FREQ_NAMES, rhs.direct)),
-        "    }",
-        *(f"    const double {r} = {x};" for r, x in rhs.temps),
-        "    if (logit)",
-        f"        return (state){{{', '.join(rhs.logit_rates)}}};",
-        f"    return (state){{{', '.join(rhs.direct_rates)}}};",
+        *_render(_C, _rhs_body(_C)),
         "}",
         "",
         "int integrate_core(state *ys, int64_t n_samples, double pot,",
@@ -429,44 +392,12 @@ def _c_source() -> str:
         "                   double h_min, int64_t *n_steps_out,",
         "                   int64_t *n_rows_out, double *t_out)",
         "{",
-        "    const double lo = logit ? -f_max : 0.0;",
-        "    const double hi = logit ? f_max : 1.0;",
         "    state y = ys[0], z = y, "
         + ", ".join(f"K{i}" for i in range(len(_A))) + ";",
-        f"    double {', '.join(f'q_{c}' for c in _STATE)};",
-        "    double t = 0.0, h = h0, t_target, errn, fac, a, b;",
-        "    int64_t isamp = 1, n_steps = 0;",
+        "    double t, h, fac, a, b;",
+        "    int64_t isamp, n_steps;",
         "    int hit, status;",
-        "    K0 = rhs(y, pot, k, f_max, logit);",
-        "    if (DBL_MIN > h_min)",
-        "        h_min = DBL_MIN;",
-        "    for (;;) {",
-        "        if (isamp > n_samples) {",
-        f"            status = {STATUS_OK};",
-        "            break;",
-        "        }",
-        "        t_target = (double)isamp * dt_sample;",
-        "        hit = 0;",
-        "        if (h >= t_target - t) {",
-        "            h = t_target - t;",
-        "            hit = 1;",
-        "        }",
-        *("        " + line for line in body),
-        "        if (!isfinite(errn)) {",
-        "            fac = 0.2;",
-        "        } else if (errn > 0.0) {",
-        "            fac = 0.9 * pow(errn, -0.2);",
-        "            fac = fac > 0.2 ? fac : 0.2;",
-        "            fac = fac < 5.0 ? fac : 5.0;",
-        "        } else {",
-        "            fac = 5.0;",
-        "        }",
-        "        h *= fac;",
-        "        if (h < h_min) {",
-        f"            status = {STATUS_STEP_UNDERFLOW};",
-        "            break;",
-        "        }",
-        "    }",
+        *_render(_C, _loop(_C)),
         "    *n_steps_out = n_steps;",
         "    *n_rows_out = isamp;",
         "    *t_out = t;",

@@ -252,6 +252,8 @@ def _build_cross():
 
 
 _cross, _CROSS_IJ = _build_cross()
+#: _CROSS_IJ as an index of an 11x11 array
+_CROSS_AT = tuple(np.array(_CROSS_IJ).T)
 
 
 def gradient_cross(profile, pot) -> np.ndarray:
@@ -260,10 +262,15 @@ def gradient_cross(profile, pot) -> np.ndarray:
     Row order and column order follow ``FREQ_NAMES``.  Entries for j owned
     by the same player as i are identically zero (joint affinity), so only
     cross-player couplings appear.  For (n, 11) frequency rows and n pots,
-    the (n, 11, 11) stack.
+    the (n, 11, 11) stack; one profile is evaluated on Python floats, with
+    the bits of its row in a stack.
     """
-    F, P, stacked = _as_rows(profile, pot)
+    if isinstance(profile, StrategyProfile):
+        H = np.zeros((11, 11))
+        H[_CROSS_AT] = _cross(*profile.as_tuple(), check_pot(pot))
+        return H
+    F, P, _ = _as_rows(profile, pot)
     H = np.zeros((len(F), 11, 11))
     for (i, j), h in zip(_CROSS_IJ, _cross(*F.T, P)):
         H[:, i, j] = h
-    return H if stacked else H[0]
+    return H

@@ -56,10 +56,6 @@ class CliError(Exception):
         self.code = code
 
 
-def _fmt(v: float) -> str:
-    return repr(float(v))
-
-
 def _default_seed() -> int | None:
     env = os.environ.get("KUHN3_SEED")
     if env is None:
@@ -227,21 +223,21 @@ def _pot_grid(lo: float, hi: float, step: float) -> list:
 
 
 def _sweep_rows_frequencies(pots, ids, F) -> list:
-    return [f"{_fmt(pot)},{sid},{','.join(map(_fmt, row))}"
+    return [f"{pot!r},{sid},{','.join(map(repr, row))}"
             for pot, sid, row in zip(pots.tolist(), ids, F.tolist())]
 
 
 def _sweep_rows_profits(pots, ids, F) -> list:
     e = analytic_ev.expected_profit_scaled(F, pots)
-    return [f"{_fmt(pot)},{sid},{_fmt(e1)},{_fmt(e2)},{_fmt(e3)}"
+    return [f"{pot!r},{sid},{e1!r},{e2!r},{e3!r}"
             for pot, sid, e1, e2, e3
             in zip(pots.tolist(), ids, *(x.tolist() for x in e))]
 
 
 def _sweep_rows_stability(pots, ids, F) -> list:
     _, max_re, pairs, zeros = stability.spectra(F, pots)
-    return [f"{_fmt(pot)},{sid},{stability.Verdict.of(m).value},"
-            f"{_fmt(m)},{n_pairs},{n_zeros}"
+    return [f"{pot!r},{sid},{stability.Verdict.of(m).value},"
+            f"{m!r},{n_pairs},{n_zeros}"
             for pot, sid, m, n_pairs, n_zeros
             in zip(pots.tolist(), ids, max_re.tolist(), pairs.tolist(),
                    zeros.tolist())]
@@ -252,7 +248,7 @@ def _sweep_rows_classification(pot: float, seed: int, t_end: float,
     initial = dynamics.random_initial_profile(seed)
     traj = dynamics.integrate(initial, pot, t_end, config=cfg, seed=seed)
     cls = dynamics.classify(traj)
-    return [f"{_fmt(pot)},{seed},{_fmt(t_end)},{cls.label.value}"]
+    return [f"{pot!r},{seed},{t_end!r},{cls.label.value}"]
 
 
 def _classification_chunks(grid: list, seed: int, t_end: float,

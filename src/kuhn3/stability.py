@@ -71,7 +71,8 @@ def jacobian(profile, pot, gains=None) -> np.ndarray:
     F, P, stacked = analytic_ev._as_rows(profile, pot)
     k = gains_array(gains)
     g = np.array(analytic_ev._partials(F.T, P)).T
-    J = analytic_ev.gradient_cross(F, P)
+    J = (analytic_ev.gradient_cross(F, P) if stacked
+         else analytic_ev.gradient_cross(profile, pot)[None])
     J *= (k * F * (1.0 - F))[:, :, None]
     J[:, _DIAG, _DIAG] += k * (1.0 - 2.0 * F) * g
     return J if stacked else J[0]

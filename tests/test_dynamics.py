@@ -517,18 +517,23 @@ class TestCompiledCore:
             assert got[1:] == want[1:]
             assert type(got[1]) is int and type(got[3]) is float
 
-    @pytest.mark.parametrize("pot,seed,t_end", [(3.1, 54, 1500.0),
-                                                (2.5, 1, 2000.0)])
-    def test_long_orbit_equal(self, monkeypatch, pot, seed, t_end):
+    @pytest.mark.parametrize("pot,seed,t_end,logit_mode", [
+        pytest.param(3.1, 54, 1500.0, True, id="3.1-54-1500.0"),
+        pytest.param(2.5, 1, 2000.0, True, id="2.5-1-2000.0"),
+        # the direct chart, with uneven gains
+        pytest.param(4.15, 1, 300.0, False, id="4.15-1-300.0-direct")])
+    def test_long_orbit_equal(self, monkeypatch, rng, pot, seed, t_end,
+                              logit_mode):
         from kuhn3 import _stepper
 
         _compiled_or_skip()
         cfg = IntegratorConfig()
+        f0 = np.array(random_initial_profile(seed).as_tuple())
         y0 = np.zeros(14)
-        y0[:11] = logit(np.array(random_initial_profile(seed).as_tuple()))
-        args = (y0, pot, np.ones(11), int(t_end / cfg.dt_sample),
-                cfg.dt_sample, cfg.rtol, cfg.atol, cfg.f_max, True, cfg.h0,
-                cfg.h_min)
+        y0[:11] = logit(f0) if logit_mode else f0
+        k = np.ones(11) if logit_mode else rng.uniform(0.2, 3.0, 11)
+        args = (y0, pot, k, int(t_end / cfg.dt_sample), cfg.dt_sample,
+                cfg.rtol, cfg.atol, cfg.f_max, logit_mode, cfg.h0, cfg.h_min)
         python = _stepper._python_core(*args)
         reference, _ = reference_core(*args)
         _only_compiled(monkeypatch)
